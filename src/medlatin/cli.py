@@ -264,7 +264,7 @@ def cmd_scenario_run(args) -> int:
         grid.update(scenarios_mod.execute(
             run_plan, registry, output_dir=out_dir, epochs=args.epochs,
             validation_fraction=args.validation_fraction, base_seed=args.seed,
-            jobs=args.jobs, drop_unsupported=args.drop_unsupported))
+            drop_unsupported=args.drop_unsupported))
     rows = [[scenario, genre, task, str(acc)]
             for (scenario, genre, task), acc in sorted(grid.items())]
     _emit_table(args, "scenario.run", ["scenario", "genre", "task", "accuracy"], rows)
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output directory (models/ and results.tsv)")
             p.add_argument("--epochs", type=int, default=5)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--jobs", type=int, default=1)
             p.add_argument("--validation-fraction", default="0.1")
         p.set_defaults(func=func)
     p = scenario_sub.add_parser("compare")

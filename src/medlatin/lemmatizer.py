@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 
 from .conllu import Document
-from .errors import EmptyCorpus, MedlatinError
+from .errors import EmptyCorpus, MedlatinError, read_model_file
 
 MODEL_FORMAT = "medlatin-lemmatizer/1"
 
@@ -263,11 +263,15 @@ def save_model(model: LemmatizerModel, path: str) -> None:
         fh.write("\n")
 
 
+MODEL_SCHEMA = {"lexicon": list, "scripts": list, "provenance": list, "config_metadata": dict}
+
+
 def load_model(path: str) -> LemmatizerModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise MedlatinError(f"{path}: not a {MODEL_FORMAT} model file")
+    """Read a model file; a malformed one raises MedlatinError naming the path."""
+    return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
+
+
+def _model_from_payload(payload: dict) -> LemmatizerModel:
     lexicon = {
         (form, upos): {lemma: int(c) for lemma, c in items}
         for form, upos, items in payload["lexicon"]

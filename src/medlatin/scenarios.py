@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -44,11 +43,6 @@ TASK_ORDER = ("upos", "ufeats", "lemma")
 
 RESULTS_FORMAT = "#format=medlatin.results.v1"
 RESULTS_HEADER = "run_id\tscenario\tgenre\ttask\taccuracy"
-
-# Aggregate accuracy figures recorded for reference alongside the scenario
-# grid; the aggregation scheme behind them is not documented, so they are
-# metadata only and never asserted against computed results.
-REFERENCE_AGGREGATE_ACCURACY = {"lemma": 92.60, "upos": 83.29, "ufeats": 88.57}
 
 
 class MissingDataset(MedlatinError):
@@ -272,7 +266,7 @@ def _execute_run(run: TrainingRun, registry: Registry, epochs: int,
 
 def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None,
             epochs: int = 5, validation_fraction: Decimal | str | float = "0.1",
-            base_seed: int = 0, jobs: int = 1,
+            base_seed: int = 0,
             drop_unsupported: bool = False) -> dict[tuple[str, str, str], Decimal]:
     """Train every run, evaluate on its test sets, persist models and results.
 
@@ -280,15 +274,9 @@ def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None
     executions with the same arguments produce identical grids and
     byte-identical results files.
     """
-    def work(run: TrainingRun):
-        return run, _execute_run(run, registry, epochs, validation_fraction,
-                                 base_seed, drop_unsupported)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, run_plan.runs))
-    else:
-        outcomes = [work(run) for run in run_plan.runs]
+    outcomes = [(run, _execute_run(run, registry, epochs, validation_fraction,
+                                   base_seed, drop_unsupported))
+                for run in run_plan.runs]
 
     all_rows: list[ResultRow] = []
     if output_dir is not None:

@@ -13,6 +13,16 @@ tag); decoding feeds back the predicted tag.  Ties in scoring break toward
 the lexicographically smallest tag, so an untrained model with zero weights
 tags everything with the first tag of the sorted tagset.
 
+Weights are stored feature-major, as in Honnibal's "A good POS tagger in
+about 200 lines of Python" (2013): feature id -> {tag index: weight}.
+Scoring a token reads only the rows of its active features and adds each
+row into a per-tag score list, feature by feature in the order
+extract_features returns them, so every tag's sum is taken in the same
+order as a (feature, tag) lookup per tag would take it.  Training drops
+zero weights and empty rows.  The on-disk format does not depend on this
+layout: a model file lists the weights as [feature id, tag index, weight]
+rows sorted by feature id, then tag index.
+
 REFERENCE_FINETUNE_CONFIG holds the hyperparameters of the full-scale
 fine-tuning setup this trainer stands in for; they are recorded in every
 model's metadata for provenance but are not interpreted here.
@@ -25,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 
 from .conllu import Sentence
-from .errors import EmptyCorpus, MedlatinError
+from .errors import EmptyCorpus, MedlatinError, read_model_file
 
 TASKS = ("upos", "ufeats")
 
@@ -62,7 +72,7 @@ class TaggerModel:
     task: str
     tagset: tuple[str, ...]
     feature_vocabulary: dict[str, int]
-    weights: dict[tuple[int, int], float]
+    weights: dict[int, dict[int, float]]
     provenance: tuple[TrainingStage, ...] = ()
     config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_FINETUNE_CONFIG))
 
@@ -101,20 +111,18 @@ def extract_features(sentence: Sentence, index: int, prev_tag: str = BOUNDARY) -
     return tuple(sorted(feats))
 
 
-def _best_tag(tagset: tuple[str, ...], weights, feature_ids: list[int]) -> str:
-    best_idx = 0
-    best_score = None
-    for t_idx in range(len(tagset)):
-        score = 0.0
-        for f_id in feature_ids:
-            w = weights.get((f_id, t_idx))
-            if w is not None:
-                score += w
-        if (best_score is None or score > best_score
-                or (score == best_score and tagset[t_idx] < tagset[best_idx])):
-            best_score = score
-            best_idx = t_idx
-    return tagset[best_idx]
+def _best_tag(tagset: tuple[str, ...], weights: dict[int, dict[int, float]],
+              feature_ids: list[int]) -> str:
+    scores = [0.0] * len(tagset)
+    for f_id in feature_ids:
+        row = weights.get(f_id)
+        if row is not None:
+            for t_idx, w in row.items():
+                scores[t_idx] += w
+    best = max(scores)
+    if scores.count(best) == 1:
+        return tagset[scores.index(best)]
+    return min(t for t, score in zip(tagset, scores) if score == best)
 
 
 def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
@@ -139,7 +147,7 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     if base is not None:
         tagset = list(base.tagset)
         vocab = dict(base.feature_vocabulary)
-        w = dict(base.weights)
+        w = {f_id: dict(row) for f_id, row in base.weights.items()}
     else:
         tagset, vocab, w = [], {}, {}
     known = set(tagset)
@@ -170,10 +178,12 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     ts: dict[tuple[int, int], int] = {}
     step = 0
 
-    def bump(key: tuple[int, int], delta: float) -> None:
-        acc[key] = acc.get(key, 0.0) + (step - ts.get(key, 0)) * w.get(key, 0.0)
+    def bump(row: dict[int, float], f_id: int, t_idx: int, delta: float) -> None:
+        key = (f_id, t_idx)
+        value = row.get(t_idx, 0.0)
+        acc[key] = acc.get(key, 0.0) + (step - ts.get(key, 0)) * value
         ts[key] = step
-        w[key] = w.get(key, 0.0) + delta
+        row[t_idx] = value + delta
 
     rng = random.Random(seed)
     order = list(range(len(corpus.sentences)))
@@ -190,19 +200,23 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
                 if pred != gold:
                     g_idx, p_idx = tag_index[gold], tag_index[pred]
                     for f_id in ids:
-                        bump((f_id, g_idx), 1.0)
-                        bump((f_id, p_idx), -1.0)
+                        row = w.setdefault(f_id, {})
+                        bump(row, f_id, g_idx, 1.0)
+                        bump(row, f_id, p_idx, -1.0)
                 prev = gold
                 step += 1
 
-    if step == 0:
-        averaged = dict(w)
-    else:
-        averaged = {}
-        for key, value in w.items():
-            total = acc.get(key, 0.0) + (step - ts.get(key, 0)) * value
-            averaged[key] = total / step
-    averaged = {k: v for k, v in averaged.items() if v != 0.0}
+    averaged: dict[int, dict[int, float]] = {}
+    for f_id, row in w.items():
+        kept = {}
+        for t_idx, value in row.items():
+            if step:
+                key = (f_id, t_idx)
+                value = (acc.get(key, 0.0) + (step - ts.get(key, 0)) * value) / step
+            if value != 0.0:
+                kept[t_idx] = value
+        if kept:
+            averaged[f_id] = kept
 
     stage = TrainingStage(
         datasets=datasets if datasets is not None else (corpus.source_name,),
@@ -216,11 +230,12 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
 
 def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
     """Greedy left-to-right tagging; one tag per token, always."""
+    vocab = model.feature_vocabulary
     tags: list[str] = []
     prev = BOUNDARY
     for i in range(len(sentence.tokens)):
         feats = extract_features(sentence, i, prev)
-        ids = [model.feature_vocabulary[f] for f in feats if f in model.feature_vocabulary]
+        ids = [vocab[f] for f in feats if f in vocab]
         predicted = _best_tag(model.tagset, model.weights, ids)
         tags.append(predicted)
         prev = predicted
@@ -233,7 +248,8 @@ def save_model(model: TaggerModel, path: str) -> None:
         "task": model.task,
         "tagset": list(model.tagset),
         "feature_vocabulary": model.feature_vocabulary,
-        "weights": [[f, t, w] for (f, t), w in sorted(model.weights.items())],
+        "weights": [[f, t, w] for f, row in sorted(model.weights.items())
+                    for t, w in sorted(row.items())],
         "provenance": [
             {"datasets": list(s.datasets), "epochs": s.epochs, "was_continued": s.was_continued}
             for s in model.provenance
@@ -245,16 +261,46 @@ def save_model(model: TaggerModel, path: str) -> None:
         fh.write("\n")
 
 
+MODEL_SCHEMA = {"task": str, "tagset": list, "feature_vocabulary": dict, "weights": list,
+                "provenance": list, "config_metadata": dict}
+
+
 def load_model(path: str) -> TaggerModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise MedlatinError(f"{path}: not a {MODEL_FORMAT} model file")
+    """Read a model file; a malformed one raises MedlatinError naming the path.
+
+    Every weight row must name a feature id from the vocabulary and a tag
+    index inside the tagset, because scoring indexes the tagset by it.
+    """
+    return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
+
+
+def _model_from_payload(payload: dict) -> TaggerModel:
+    task = payload["task"]
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    tagset = tuple(payload["tagset"])
+    if not tagset or not all(isinstance(t, str) for t in tagset):
+        raise ValueError("tagset must be a non-empty list of strings")
+    vocab = {k: int(v) for k, v in payload["feature_vocabulary"].items()}
+    known_ids = set(vocab.values())
+    n_tags = len(tagset)
+    weights: dict[int, dict[int, float]] = {}
+    for f, t, w in payload["weights"]:
+        f, t = int(f), int(t)
+        row = weights.get(f)
+        if row is None:
+            if f not in known_ids:
+                raise ValueError(f"weight row {[f, t, w]}: feature id {f} is not in the vocabulary")
+            row = weights[f] = {}
+        if not 0 <= t < n_tags:
+            raise ValueError(f"weight row {[f, t, w]}: tag index {t} is outside "
+                             f"the tagset of {n_tags} tags")
+        row[t] = float(w)
     return TaggerModel(
-        task=payload["task"],
-        tagset=tuple(payload["tagset"]),
-        feature_vocabulary={k: int(v) for k, v in payload["feature_vocabulary"].items()},
-        weights={(int(f), int(t)): float(w) for f, t, w in payload["weights"]},
+        task=task,
+        tagset=tagset,
+        feature_vocabulary=vocab,
+        weights=weights,
         provenance=tuple(
             TrainingStage(tuple(s["datasets"]), int(s["epochs"]), bool(s["was_continued"]))
             for s in payload["provenance"]

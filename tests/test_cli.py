@@ -1,3 +1,5 @@
+import json
+
 from medlatin.cli import run_cli
 from medlatin.conllu import parse_conllu
 
@@ -145,6 +147,19 @@ def test_tagger_train_and_tag_cli(tmp_path, capsys):
     gold = parse_conllu(open(TOY_CORPUS, encoding="utf-8").read())
     assert [t.upos for s in doc.sentences for t in s.tokens] == \
            [t.upos for s in gold.sentences for t in s.tokens]
+
+
+def test_tagger_tag_rejects_out_of_range_tag_index(tmp_path, capsys):
+    model = tmp_path / "tagger.json"
+    assert run_cli(["tagger", "train", "--task", "upos", "--in", TOY_CORPUS,
+                    "--out", str(model), "--epochs", "1"]) == 0
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["weights"].append([0, len(payload["tagset"]), 1.0])
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["tagger", "tag", "--model", str(model), "--in", TOY_CORPUS,
+                    "--out", str(tmp_path / "tagged.conllu")]) == 1
+    err = capsys.readouterr().err
+    assert "MedlatinError" in err and str(model) in err and "outside the tagset" in err
 
 
 def test_lemmatize_train_and_run_wire_format(tmp_path, capsys):

@@ -201,6 +201,23 @@ def test_model_file_roundtrip(tmp_path):
         assert json.load(fh)["format"] == "medlatin-lemmatizer/1"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: payload.pop("scripts"), "missing key 'scripts'"),
+    (lambda payload: payload.__setitem__("lexicon", {}), "key 'lexicon' must be a list"),
+    (lambda payload: payload.__setitem__("config_metadata", []), "must be a dict"),
+    (lambda payload: payload["lexicon"].append(["portam", "NOUN"]), "malformed model"),
+    (lambda payload: payload["scripts"].append(["am", "NOUN", [[["x"], 1]]]), "malformed model"),
+])
+def test_load_model_rejects_malformed_file(tmp_path, edit, message):
+    path = tmp_path / "lemma.json"
+    save_model(train_lemmatizer(_fixture_corpus()), str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(MedlatinError, match=f"lemma.json: .*{message}"):
+        load_model(str(path))
+
+
 def test_config_metadata_recorded():
     model = train_lemmatizer(_fixture_corpus())
     assert model.config_metadata == {

@@ -198,10 +198,3 @@ def test_scenario_rejects_unknown_kind_and_task():
         Scenario("mystery")
     with pytest.raises(ValueError):
         Scenario("baseline", tasks=("deps",))
-
-
-def test_parallel_execution_matches_sequential(mini_registry):
-    run_plan = plan(Scenario("ud_all", tasks=("upos", "lemma")), mini_registry)
-    sequential = execute(run_plan, mini_registry, epochs=1, jobs=1)
-    parallel = execute(run_plan, mini_registry, epochs=1, jobs=4)
-    assert sequential == parallel

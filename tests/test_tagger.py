@@ -1,13 +1,18 @@
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from medlatin.errors import EmptyCorpus
-from medlatin.tagger import (BOUNDARY, IndexOutOfRange, TaskMismatch,
-                             extract_features, load_model, save_model, tag,
-                             train)
+from medlatin.errors import EmptyCorpus, MedlatinError
+from medlatin.registry import load_dataset, load_registry
+from medlatin.tagger import (BOUNDARY, MODEL_FORMAT, REFERENCE_FINETUNE_CONFIG,
+                             IndexOutOfRange, TaggerModel, TaskMismatch, TrainingStage,
+                             _best_tag, extract_features, gold_label, load_model,
+                             save_model, tag, train)
 
-from conftest import sent, simple_doc, tok
+from conftest import MINI_REGISTRY, sent, simple_doc, tok
 
 
 def all_tags(model, corpus):
@@ -161,3 +166,193 @@ def test_closed_set_prediction(toy_corpus):
     unseen = sent(tok(1, "zzzq", "zzzq", "NOUN"), tok(2, "wwwt", "wwwo", "VERB"))
     for label in tag(model, unseen):
         assert label in model.tagset
+
+
+# Reference implementation: the flat (feature, tag) -> weight layout that the
+# feature-major rows replaced.  The differential tests below require the
+# production scorer, trainer and model files to match it exactly.
+
+def flat_best_tag(tagset, weights, feature_ids):
+    best_idx = 0
+    best_score = None
+    for t_idx in range(len(tagset)):
+        score = 0.0
+        for f_id in feature_ids:
+            w = weights.get((f_id, t_idx))
+            if w is not None:
+                score += w
+        if (best_score is None or score > best_score
+                or (score == best_score and tagset[t_idx] < tagset[best_idx])):
+            best_score = score
+            best_idx = t_idx
+    return tagset[best_idx]
+
+
+def flat_train(corpus, task, epochs, base=None, seed=0):
+    if base is not None:
+        tagset, vocab, w = list(base.tagset), dict(base.feature_vocabulary), dict(base.weights)
+    else:
+        tagset, vocab, w = [], {}, {}
+    for label in sorted({gold_label(t, task) for s in corpus.sentences for t in s.tokens}):
+        if label not in tagset:
+            tagset.append(label)
+    tagset_t = tuple(tagset)
+    tag_index = {t: i for i, t in enumerate(tagset_t)}
+    acc, ts, step = {}, {}, 0
+
+    def bump(key, delta):
+        acc[key] = acc.get(key, 0.0) + (step - ts.get(key, 0)) * w.get(key, 0.0)
+        ts[key] = step
+        w[key] = w.get(key, 0.0) + delta
+
+    rng = random.Random(seed)
+    order = list(range(len(corpus.sentences)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for s_i in order:
+            sentence = corpus.sentences[s_i]
+            prev = BOUNDARY
+            for i in range(len(sentence.tokens)):
+                ids = [vocab.setdefault(f, len(vocab)) for f in extract_features(sentence, i, prev)]
+                gold = gold_label(sentence.tokens[i], task)
+                pred = flat_best_tag(tagset_t, w, ids)
+                if pred != gold:
+                    for f_id in ids:
+                        bump((f_id, tag_index[gold]), 1.0)
+                        bump((f_id, tag_index[pred]), -1.0)
+                prev = gold
+                step += 1
+    if step == 0:
+        averaged = dict(w)
+    else:
+        averaged = {k: (acc.get(k, 0.0) + (step - ts.get(k, 0)) * v) / step for k, v in w.items()}
+    averaged = {k: v for k, v in averaged.items() if v != 0.0}
+    stage = TrainingStage((corpus.source_name,), epochs, base is not None)
+    provenance = (base.provenance if base is not None else ()) + (stage,)
+    return TaggerModel(task, tagset_t, vocab, averaged, provenance,
+                       dict(REFERENCE_FINETUNE_CONFIG))
+
+
+def flat_save_model(model, path):
+    payload = {
+        "format": MODEL_FORMAT,
+        "task": model.task,
+        "tagset": list(model.tagset),
+        "feature_vocabulary": model.feature_vocabulary,
+        "weights": [[f, t, w] for (f, t), w in sorted(model.weights.items())],
+        "provenance": [
+            {"datasets": list(s.datasets), "epochs": s.epochs, "was_continued": s.was_continued}
+            for s in model.provenance
+        ],
+        "config_metadata": model.config_metadata,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False, indent=0, sort_keys=True)
+        fh.write("\n")
+
+
+WEIGHT = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.1, 0.2, 0.3, 0.6, 1.0, 2.0]),
+                   st.floats(-8.0, 8.0, allow_nan=False))
+
+
+@st.composite
+def scoring_cases(draw):
+    tagset = tuple(draw(st.lists(st.text("ABab=|_", min_size=1, max_size=3),
+                                 min_size=1, max_size=10, unique=True)))
+    n_features = draw(st.integers(1, 12))
+    keys = st.tuples(st.integers(0, n_features - 1), st.integers(0, len(tagset) - 1))
+    flat = draw(st.dictionaries(keys, WEIGHT, max_size=40))
+    ids = draw(st.lists(st.integers(0, n_features + 2), unique=True, max_size=n_features))
+    return tagset, flat, ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_cases())
+# Summation order decides this case: in feature order 0.1 + 0.2 + 0.3 is
+# just above 0.6 and "B" wins; added in reverse it is exactly 0.6, a tie
+# that "A" wins.
+@example((("B", "A"), {(0, 0): 0.1, (1, 0): 0.2, (2, 0): 0.3, (0, 1): 0.6}, [0, 1, 2]))
+def test_feature_major_scoring_matches_flat_reference(case):
+    tagset, flat, ids = case
+    rows = {}
+    for (f, t), w in flat.items():
+        rows.setdefault(f, {})[t] = w
+    assert _best_tag(tagset, rows, ids) == flat_best_tag(tagset, flat, ids)
+
+
+def mini_dataset(name):
+    return load_dataset(load_registry(MINI_REGISTRY), name)
+
+
+@pytest.mark.parametrize("task", ["upos", "ufeats"])
+def test_training_and_model_files_match_flat_reference(tmp_path, task):
+    alpha, beta = mini_dataset("ud_alpha"), mini_dataset("ud_beta")
+    base = train(alpha, task, epochs=3, seed=4)
+    flat_base = flat_train(alpha, task, epochs=3, seed=4)
+    staged = train(beta, task, epochs=2, base=base, seed=5)
+    flat_staged = flat_train(beta, task, epochs=2, base=flat_base, seed=5)
+    for model, flat_model in ((base, flat_base), (staged, flat_staged)):
+        new_path, flat_path = tmp_path / "new.json", tmp_path / "flat.json"
+        save_model(model, str(new_path))
+        flat_save_model(flat_model, str(flat_path))
+        assert new_path.read_bytes() == flat_path.read_bytes()
+
+
+def test_staged_ufeats_model_roundtrip_is_exact(tmp_path):
+    base = train(mini_dataset("ud_alpha"), "ufeats", epochs=3, seed=1)
+    staged = train(mini_dataset("Annals"), "ufeats", epochs=2, base=base, seed=2)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(staged, str(first))
+    loaded = load_model(str(first))
+    assert loaded == staged
+    save_model(loaded, str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _set(key, value):
+    return lambda payload: payload.__setitem__(key, value)
+
+
+def _set_weights(row):
+    """row(payload) -> one weight row that breaks the model."""
+    return lambda payload: payload.__setitem__("weights", [row(payload)])
+
+
+MALFORMED = {
+    "missing-weights": lambda payload: payload.pop("weights"),
+    "missing-tagset": lambda payload: payload.pop("tagset"),
+    "tagset-is-string": _set("tagset", "NOUN"),
+    "weights-is-dict": _set("weights", {}),
+    "vocabulary-is-list": _set("feature_vocabulary", []),
+    "empty-tagset": _set("tagset", []),
+    "unknown-task": _set("task", "deps"),
+    "stage-missing-epochs": _set("provenance", [{"datasets": [], "was_continued": False}]),
+    "short-weight-row": _set_weights(lambda payload: [0, 0]),
+    "tag-index-past-end": _set_weights(lambda payload: [0, len(payload["tagset"]), 1.0]),
+    "negative-tag-index": _set_weights(lambda payload: [0, -1, 1.0]),
+    "unknown-feature-id": _set_weights(
+        lambda payload: [len(payload["feature_vocabulary"]), 0, 1.0]),
+}
+
+
+def write_malformed(path, corpus, edit):
+    save_model(train(corpus, "upos", epochs=1, seed=0), str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_model_rejects_malformed_file(tmp_path, toy_corpus, case):
+    path = tmp_path / "tagger.json"
+    write_malformed(path, toy_corpus, MALFORMED[case])
+    with pytest.raises(MedlatinError, match="tagger.json"):
+        load_model(str(path))
+
+
+def test_load_model_rejects_truncated_file(tmp_path, toy_corpus):
+    path = tmp_path / "tagger.json"
+    save_model(train(toy_corpus, "upos", epochs=1, seed=0), str(path))
+    path.write_bytes(path.read_bytes()[:200])
+    with pytest.raises(MedlatinError, match="tagger.json: not a JSON file"):
+        load_model(str(path))
