@@ -136,8 +136,11 @@ def parse_conllu(text: str, source_name: str = "<string>",
 
     Canonical-form input (sorted feature keys, LF endings, one blank line
     after every sentence) round-trips byte-identically through serialize().
-    Non-canonical but well-formed input is accepted and canonicalized.
+    Non-canonical but well-formed input is accepted and canonicalized.  One
+    leading byte-order mark (U+FEFF) is dropped.
     """
+    if text.startswith("\ufeff"):
+        text = text[1:]
     sentences: list[Sentence] = []
     comments: list[str] = []
     tokens: list[Token] = []

@@ -1,12 +1,23 @@
-"""Shared exception base for the toolkit, and the model-file reader that
-turns a malformed file into one of its errors.
+"""Shared exception base for the toolkit, and the model-file reader and
+writer.
 
 Every domain error raised by a medlatin module derives from MedlatinError,
 so the CLI can surface the error-case name uniformly (exit code 1) while
 genuine bugs still escape as ordinary exceptions.
+
+Model files are the text json.dump(payload, fh, ensure_ascii=False,
+indent=0, sort_keys=True) writes, plus a final newline.  The writer here
+lays out the large arrays itself: json's encoder drops to pure Python, one
+call and one write per value, as soon as it is asked to indent.  json_row,
+json_array, json_entries and JSONItems hold that layout; a model's large
+arrays are rendered a row at a time from a json_row format string and
+handed to the writer as JSONItems.
 """
 
 import json
+import os
+from itertools import islice
+from json.encoder import encode_basestring as json_string
 
 
 class MedlatinError(Exception):
@@ -17,18 +28,23 @@ class EmptyCorpus(MedlatinError):
     """Raised when a trainer is given a corpus with no sentences to learn from."""
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def read_model_file(path: str, model_format: str, schema: dict, build):
     """Read a JSON model file, check its top-level keys and build the model.
 
     schema maps each required key to its JSON type (str, list or dict).
-    build(payload) converts the checked payload; a KeyError, TypeError or
-    ValueError it raises on a malformed value becomes a MedlatinError that
-    names the path, as does invalid JSON, a wrong format tag or a missing or
-    mistyped top-level key.
+    build(payload) converts the checked payload; a KeyError, TypeError,
+    ValueError or OverflowError it raises on a malformed value becomes a
+    MedlatinError that names the path, as does invalid JSON (NaN and
+    Infinity included), a wrong format tag or a missing or mistyped
+    top-level key.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=_reject_constant)
         except ValueError as exc:
             raise MedlatinError(f"{path}: not a JSON file ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != model_format:
@@ -43,5 +59,91 @@ def read_model_file(path: str, model_format: str, schema: dict, build):
         return build(payload)
     except KeyError as exc:
         raise MedlatinError(f"{path}: malformed model, missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MedlatinError(f"{path}: malformed model ({exc})") from exc
+
+
+def json_row(*cells: str) -> str:
+    """A %-format string for a JSON array of len(cells) values.
+
+    Each cell is a conversion: %d for an int, %r for a finite float (json
+    writes float.__repr__ too), %s for a string already passed through
+    json_string or for JSON text.  A cell may also be literal JSON text
+    without a '%' in it, such as str(an int).
+    """
+    return "[\n" + ",\n".join(cells) + "\n]"
+
+
+def json_array(items) -> str:
+    """JSON text of an array whose items are given as JSON texts."""
+    body = ",\n".join(items)
+    return "[\n" + body + "\n]" if body else "[]"
+
+
+def json_entries(keys, values):
+    """The '"key": value' texts of an object's entries, from its str keys
+    in sorted order and the JSON texts of their values."""
+    return map("%s: %s".__mod__, zip(map(json_string, keys), values))
+
+
+class JSONItems:
+    """A JSON array, or with brackets="{}" an object, given as an iterable
+    of its items' JSON texts (json_entries for an object).  The items are
+    rendered as they are consumed: write_model_file writes them a batch at
+    a time, so a large array is never held as one text."""
+
+    BATCH = 1024
+
+    def __init__(self, items, brackets: str = "[]"):
+        self.items = items
+        self.brackets = brackets
+
+    def chunks(self):
+        items = iter(self.items)
+        batch = ",\n".join(islice(items, self.BATCH))
+        if not batch:
+            yield self.brackets
+            return
+        yield self.brackets[0] + "\n" + batch
+        while batch := ",\n".join(islice(items, self.BATCH)):
+            yield ",\n" + batch
+        yield "\n" + self.brackets[1]
+
+
+def write_file(path: str, chunks) -> None:
+    """Write the text chunks to path as UTF-8 through a temporary file in
+    the same directory and os.replace, so the path holds either its old
+    content or all of the new, never a part.  On an error the temporary
+    file is removed and the old content stays."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_model_file(path: str, payload: dict) -> None:
+    """Write a model payload in the layout read_model_file reads, one
+    top-level entry at a time and a JSONItems value a batch at a time.
+
+    A value that is not JSONItems is small and goes through json.dumps: at
+    indent=0 a nested value's text does not depend on its depth.  A float
+    that is not finite raises ValueError, as NaN and Infinity are not JSON.
+    """
+    def chunks():
+        keys = sorted(payload)
+        for key in keys:
+            yield ("{\n" if key == keys[0] else ",\n") + json_string(key) + ": "
+            value = payload[key]
+            if isinstance(value, JSONItems):
+                yield from value.chunks()
+            else:
+                yield json.dumps(value, ensure_ascii=False, indent=0, sort_keys=True,
+                                 allow_nan=False)
+        yield "\n}\n" if keys else "{}\n"
+    write_file(path, chunks())

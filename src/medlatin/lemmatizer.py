@@ -27,11 +27,11 @@ generation setup this classifier stands in for; metadata only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .conllu import Document
-from .errors import EmptyCorpus, MedlatinError, read_model_file
+from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_array, json_row, json_string,
+                     read_model_file, write_model_file)
 
 MODEL_FORMAT = "medlatin-lemmatizer/1"
 
@@ -136,13 +136,33 @@ class LemmatizerModel:
     """Lexicon and suffix-script counts; immutable after training.
 
     lexicon maps (form, upos) -> {lemma: count}; scripts maps
-    (suffix, upos) -> {script key tuple: count}.
+    (suffix, upos) -> {script key tuple: count}.  pooled is derived from
+    scripts when the model is built and ignored by equality: suffix ->
+    {script key tuple: count summed over every UPOS}, the counts cascade
+    step 4 ranks.
     """
 
     lexicon: dict[tuple[str, str], dict[str, int]]
     scripts: dict[tuple[str, str], dict[tuple, int]]
     provenance: tuple = ()
     config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_SEQ2SEQ_CONFIG))
+    pooled: dict[str, dict[tuple, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Most suffixes occur with one UPOS: they share that counter with
+        # scripts, and a copy is made only when a second UPOS adds to it.
+        pooled: dict[str, dict[tuple, int]] = {}
+        copied: set[str] = set()
+        for (suffix, _upos), counter in self.scripts.items():
+            bucket = pooled.setdefault(suffix, counter)
+            if bucket is counter:
+                continue
+            if suffix not in copied:
+                bucket = pooled[suffix] = dict(bucket)
+                copied.add(suffix)
+            for script_key, count in counter.items():
+                bucket[script_key] = bucket.get(script_key, 0) + count
+        object.__setattr__(self, "pooled", pooled)
 
 
 def _merge_counts(target: dict, source: dict) -> None:
@@ -208,23 +228,19 @@ def lemmatize(model: LemmatizerModel, query: LemmaQuery) -> str:
     entry = model.lexicon.get((form, query.upos))
     if entry:
         return min(entry, key=lambda lemma: (-entry[lemma], lemma))
-    for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1):
+    lengths = range(min(MAX_SUFFIX_KEY, len(form)), 0, -1)
+    for n in lengths:
         counter = model.scripts.get((form[-n:], query.upos))
         if counter:
             try:
                 return apply_edit_script(_top_script(counter), form)
             except ScriptIncompatible:
                 continue
-    for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1):
-        suffix = form[-n:]
-        pooled: dict[tuple, int] = {}
-        for (key_suffix, _upos), counter in model.scripts.items():
-            if key_suffix == suffix:
-                for script_key, count in counter.items():
-                    pooled[script_key] = pooled.get(script_key, 0) + count
-        if pooled:
+    for n in lengths:
+        counter = model.pooled.get(form[-n:])
+        if counter:
             try:
-                return apply_edit_script(_top_script(pooled), form)
+                return apply_edit_script(_top_script(counter), form)
             except ScriptIncompatible:
                 continue
     return form
@@ -242,25 +258,40 @@ def parse_wire_query(line: str) -> LemmaQuery:
     return LemmaQuery(form, upos)
 
 
+_COUNTS_ROW = json_row("%s", "%s", "%s")  # form or suffix, upos, [[item, count], ...]
+_ITEM_COUNT = json_row("%s", "%d")
+_SCRIPT = json_row("%d", "%s", "%d", "%s", "%s")  # the fields of EditScript.key()
+_INTERIOR_EDIT = json_row("%d", "%s", "%s")
+
+
+def _script_text(key: tuple) -> str:
+    strip_p, add_p, strip_s, add_s, interior = key
+    edits = json_array(_INTERIOR_EDIT % (o, json_string(old), json_string(new))
+                       for o, old, new in interior)
+    return _SCRIPT % (strip_p, json_string(add_p), strip_s, json_string(add_s), edits)
+
+
+def _counts_rows(table: dict, item_text):
+    """The JSON texts of the lexicon's or the scripts' rows, sorted by key;
+    item_text(item) is the JSON text of a lemma or a script."""
+    for (name, upos), counter in sorted(table.items()):
+        items = sorted(counter)
+        counts = json_array(map(_ITEM_COUNT.__mod__,
+                                zip(map(item_text, items), map(counter.__getitem__, items))))
+        yield _COUNTS_ROW % (json_string(name), json_string(upos), counts)
+
+
 def save_model(model: LemmatizerModel, path: str) -> None:
-    payload = {
+    """Write the model file; each distinct script's JSON text is made once."""
+    scripts = {key for counter in model.scripts.values() for key in counter}
+    script_texts = {key: _script_text(key) for key in scripts}
+    write_model_file(path, {
         "format": MODEL_FORMAT,
-        "lexicon": [
-            [form, upos, sorted(counter.items())]
-            for (form, upos), counter in sorted(model.lexicon.items())
-        ],
-        "scripts": [
-            [suffix, upos, sorted(
-                ([list(k[:4]) + [[list(e) for e in k[4]]], c] for k, c in counter.items()),
-            )]
-            for (suffix, upos), counter in sorted(model.scripts.items())
-        ],
+        "lexicon": JSONItems(_counts_rows(model.lexicon, json_string)),
+        "scripts": JSONItems(_counts_rows(model.scripts, script_texts.__getitem__)),
         "provenance": list(model.provenance),
         "config_metadata": model.config_metadata,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=0, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 MODEL_SCHEMA = {"lexicon": list, "scripts": list, "provenance": list, "config_metadata": dict}

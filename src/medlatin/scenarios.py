@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -34,7 +35,7 @@ from decimal import Decimal
 from . import lemmatizer as lemmatizer_mod
 from . import tagger as tagger_mod
 from .conllu import Document
-from .errors import MedlatinError
+from .errors import MedlatinError, write_file
 from .evaluation import evaluate
 from .registry import Registry, load_dataset, make_cv_splits, split_for_validation
 
@@ -297,23 +298,32 @@ def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None
 
 def write_results_file(path: str, rows: list[ResultRow]) -> None:
     ordered = sorted(rows, key=lambda r: (r.scenario, r.run_id, r.genre, r.task))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RESULTS_FORMAT + "\n")
-        fh.write(RESULTS_HEADER + "\n")
-        for r in ordered:
-            fh.write(f"{r.run_id}\t{r.scenario}\t{r.genre}\t{r.task}\t{r.accuracy}\n")
+    lines = [RESULTS_FORMAT, RESULTS_HEADER]
+    lines += [f"{r.run_id}\t{r.scenario}\t{r.genre}\t{r.task}\t{r.accuracy}" for r in ordered]
+    write_file(path, [line + "\n" for line in lines])
+
+
+_ACCURACY = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 def read_results_file(path: str) -> list[ResultRow]:
+    """Read a results store; a malformed row raises MedlatinError naming
+    the path and line."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if not lines or lines[0] != RESULTS_FORMAT:
         raise MedlatinError(f"{path}: not a {RESULTS_FORMAT} results file")
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line or line == RESULTS_HEADER:
             continue
-        run_id, scenario, genre, task, accuracy = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise MedlatinError(f"{path}:{line_no}: expected 5 tab-separated fields, "
+                                f"got {len(fields)}")
+        run_id, scenario, genre, task, accuracy = fields
+        if not _ACCURACY.fullmatch(accuracy):
+            raise MedlatinError(f"{path}:{line_no}: accuracy {accuracy!r} is not a decimal")
         rows.append(ResultRow(run_id, scenario, genre, task, Decimal(accuracy)))
     return rows
 

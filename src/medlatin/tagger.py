@@ -30,12 +30,13 @@ model's metadata for provenance but are not interpreted here.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
+from math import isfinite
 
 from .conllu import Sentence
-from .errors import EmptyCorpus, MedlatinError, read_model_file
+from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_entries, json_row,
+                     read_model_file, write_model_file)
 
 TASKS = ("upos", "ufeats")
 
@@ -242,23 +243,43 @@ def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
     return tags
 
 
+_WEIGHT_ROW = json_row("%d", "%d", "%s")  # feature id, tag index, weight
+
+
+def _weight_rows(weights: dict[int, dict[int, float]]):
+    """The weight rows' JSON texts, sorted by feature id, then tag index.
+
+    A model repeats few distinct weights (the averages of the same updates),
+    and float.__repr__ costs more than a dict lookup, so each weight's text
+    is made once.  Zero is not cached, as 0.0 and -0.0 are equal keys.
+    """
+    texts: dict[float, str] = {}
+    for f, row in sorted(weights.items()):
+        for t, w in sorted(row.items()):
+            text = texts.get(w)
+            if text is None:
+                text = float.__repr__(w)
+                if w:
+                    texts[w] = text
+            yield _WEIGHT_ROW % (f, t, text)
+
+
 def save_model(model: TaggerModel, path: str) -> None:
-    payload = {
+    vocab = model.feature_vocabulary
+    features = sorted(vocab)
+    write_model_file(path, {
         "format": MODEL_FORMAT,
         "task": model.task,
         "tagset": list(model.tagset),
-        "feature_vocabulary": model.feature_vocabulary,
-        "weights": [[f, t, w] for f, row in sorted(model.weights.items())
-                    for t, w in sorted(row.items())],
+        "feature_vocabulary": JSONItems(
+            json_entries(features, map(str, map(vocab.__getitem__, features))), "{}"),
+        "weights": JSONItems(_weight_rows(model.weights)),
         "provenance": [
             {"datasets": list(s.datasets), "epochs": s.epochs, "was_continued": s.was_continued}
             for s in model.provenance
         ],
         "config_metadata": model.config_metadata,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, indent=0, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 MODEL_SCHEMA = {"task": str, "tagset": list, "feature_vocabulary": dict, "weights": list,
@@ -268,10 +289,19 @@ MODEL_SCHEMA = {"task": str, "tagset": list, "feature_vocabulary": dict, "weight
 def load_model(path: str) -> TaggerModel:
     """Read a model file; a malformed one raises MedlatinError naming the path.
 
-    Every weight row must name a feature id from the vocabulary and a tag
-    index inside the tagset, because scoring indexes the tagset by it.
+    Every weight row must name a feature id from the vocabulary, a tag
+    index inside the tagset, because scoring indexes the tagset by it, and
+    a finite int or float weight, because save_model writes float.__repr__.
     """
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
+
+
+def _finite_weight(f: int, t: int, w) -> float:
+    """The weight of a row whose weight is not a finite float: an int, as a
+    float; anything else (inf, a bool, a string) is an error."""
+    if w.__class__ is not int:
+        raise ValueError(f"weight row {[f, t, w]}: weight {w!r} is not a finite number")
+    return float(w)
 
 
 def _model_from_payload(payload: dict) -> TaggerModel:
@@ -295,7 +325,9 @@ def _model_from_payload(payload: dict) -> TaggerModel:
         if not 0 <= t < n_tags:
             raise ValueError(f"weight row {[f, t, w]}: tag index {t} is outside "
                              f"the tagset of {n_tags} tags")
-        row[t] = float(w)
+        if w.__class__ is not float or not isfinite(w):
+            w = _finite_weight(f, t, w)
+        row[t] = w
     return TaggerModel(
         task=task,
         tagset=tagset,

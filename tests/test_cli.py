@@ -77,6 +77,15 @@ def test_corpus_stats_single_file(tmp_path, capsys):
     assert lines[-1].split("\t")[1:] == ["2", "1", "2.00"]
 
 
+def test_corpus_stats_accepts_byte_order_mark(tmp_path, capsys):
+    f = tmp_path / "bom.conllu"
+    f.write_text("\ufeff" + GOLD, encoding="utf-8")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf1\t")
+    assert run_cli(["--machine", "corpus", "stats", "--in", str(f)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[-1].split("\t")[1:] == ["2", "1", "2.00"]
+
+
 def test_corpus_stats_registry_dataset(capsys):
     assert run_cli(["corpus", "stats", "--registry", MINI_REGISTRY,
                     "--dataset", "Annals"]) == 0
@@ -201,6 +210,17 @@ def test_scenario_run_and_compare_cli(tmp_path, capsys):
     assert run_cli(["scenario", "compare", "--results", str(results)]) == 0
     out = capsys.readouterr().out
     assert "ud_all" in out
+
+
+def test_scenario_compare_rejects_short_results_row(tmp_path, capsys):
+    results = tmp_path / "results.tsv"
+    results.write_text("#format=medlatin.results.v1\n"
+                       "run_id\tscenario\tgenre\ttask\taccuracy\n"
+                       "ud_all__upos\tud_all\tAnnals\n", encoding="utf-8")
+    assert run_cli(["scenario", "compare", "--results", str(results)]) == 1
+    err = capsys.readouterr().err
+    assert "results.tsv:3: expected 5 tab-separated fields, got 3" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_confusions_cli(tmp_path, capsys):

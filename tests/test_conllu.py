@@ -32,6 +32,14 @@ def test_parse_empty_string():
     assert serialize(d) == ""
 
 
+def test_leading_byte_order_mark_is_dropped():
+    assert parse_conllu("\ufeff" + MINIMAL) == parse_conllu(MINIMAL)
+    assert serialize(parse_conllu("\ufeff" + MINIMAL)) == MINIMAL
+    with pytest.raises(MalformedLine) as exc:
+        parse_conllu("\ufeff\ufeff" + MINIMAL)
+    assert exc.value.line_no == 1
+
+
 def test_parse_nine_fields_is_malformed():
     bad = "1\tarma\tarma\tNOUN\t_\tCase=Nom\t_\t_\t_\n\n"
     with pytest.raises(MalformedLine) as exc:

@@ -3,14 +3,18 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from medlatin.conllu import Document
 from medlatin.errors import EmptyCorpus, MedlatinError
-from medlatin.lemmatizer import (EditScript, LemmaQuery, ScriptIncompatible,
-                                 apply_edit_script, derive_edit_script,
-                                 lemmatize, load_model, parse_wire_query,
-                                 save_model, train_lemmatizer)
+from medlatin.lemmatizer import (MAX_SUFFIX_KEY, MODEL_FORMAT, EditScript, LemmaQuery,
+                                 ScriptIncompatible, _top_script, apply_edit_script,
+                                 derive_edit_script, lemmatize, load_model,
+                                 parse_wire_query, save_model, train_lemmatizer)
+from medlatin.registry import load_dataset, load_registry
 
-from conftest import simple_doc
+from conftest import MINI_REGISTRY, simple_doc
 
 
 def test_derive_suffix_script():
@@ -223,3 +227,129 @@ def test_config_metadata_recorded():
     assert model.config_metadata == {
         "batch_size": 128, "epochs": 5, "input_sequence_length": 48,
         "output_sequence_length": 24, "learning_rate": 0.001}
+
+
+# The code the pooled suffix index and the model-file writer replaced, kept
+# as the reference they are tested against.
+
+def scan_lemmatize(model, query):
+    """lemmatize with cascade step 4 pooling the counts by a scan over every
+    (suffix, upos) key."""
+    if query.upos == "SYM":
+        return "_"
+    form = query.form.lower()
+    entry = model.lexicon.get((form, query.upos))
+    if entry:
+        return min(entry, key=lambda lemma: (-entry[lemma], lemma))
+    for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1):
+        counter = model.scripts.get((form[-n:], query.upos))
+        if counter:
+            try:
+                return apply_edit_script(_top_script(counter), form)
+            except ScriptIncompatible:
+                continue
+    for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1):
+        suffix = form[-n:]
+        pooled = {}
+        for (key_suffix, _upos), counter in model.scripts.items():
+            if key_suffix == suffix:
+                for script_key, count in counter.items():
+                    pooled[script_key] = pooled.get(script_key, 0) + count
+        if pooled:
+            try:
+                return apply_edit_script(_top_script(pooled), form)
+            except ScriptIncompatible:
+                continue
+    return form
+
+
+def json_dump_save_model(model, path):
+    payload = {
+        "format": MODEL_FORMAT,
+        "lexicon": [
+            [form, upos, sorted(counter.items())]
+            for (form, upos), counter in sorted(model.lexicon.items())
+        ],
+        "scripts": [
+            [suffix, upos, sorted(
+                ([list(k[:4]) + [[list(e) for e in k[4]]], c] for k, c in counter.items()),
+            )]
+            for (suffix, upos), counter in sorted(model.scripts.items())
+        ],
+        "provenance": list(model.provenance),
+        "config_metadata": model.config_metadata,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False, indent=0, sort_keys=True)
+        fh.write("\n")
+
+
+def _mini_models():
+    registry = load_registry(MINI_REGISTRY)
+    ud = [load_dataset(registry, name) for name in ("ud_alpha", "ud_beta")]
+    genres = [load_dataset(registry, name) for name in ("Annals", "Science", "Biography")]
+    base = train_lemmatizer(Document(tuple(s for d in ud for s in d.sentences), "ud"))
+    staged = train_lemmatizer(Document(tuple(s for d in genres for s in d.sentences), "genres"),
+                              base=base)
+    return base, staged
+
+
+MINI_MODELS = _mini_models()
+MINI_FORMS = sorted({form for model in MINI_MODELS for form, _upos in model.lexicon})
+UPOS = ("NOUN", "VERB", "ADJ", "ADV", "PROPN", "X", "SYM", "INTJ")
+
+
+@st.composite
+def queries(draw):
+    """Unseen forms that end like training forms, and random ones."""
+    ending = draw(st.sampled_from(MINI_FORMS))[-draw(st.integers(0, 6)):]
+    stem = draw(st.text("abcdeilmnorstuvx", max_size=5))
+    return LemmaQuery(draw(st.sampled_from([stem + ending, stem, ending or "a"])),
+                      draw(st.sampled_from(UPOS)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(MINI_MODELS), queries())
+def test_pooled_index_matches_scan_reference(model, query):
+    assert lemmatize(model, query) == scan_lemmatize(model, query)
+
+
+def test_pooled_step_answers_unseen_upos_like_the_scan():
+    base, staged = MINI_MODELS
+    for model in (base, staged):
+        for form in MINI_FORMS:
+            query = LemmaQuery(form + "x", "INTJ")
+            assert lemmatize(model, query) == scan_lemmatize(model, query)
+
+
+def test_pooled_index_is_ignored_by_equality(tmp_path):
+    path = str(tmp_path / "lemma.json")
+    save_model(MINI_MODELS[1], path)
+    loaded = load_model(path)
+    assert loaded == MINI_MODELS[1]
+    assert loaded.pooled == MINI_MODELS[1].pooled
+    assert "pooled" not in repr(loaded)
+
+
+def _escaping_corpus():
+    return simple_doc([
+        [("gracia", "gratia", "NOUN"), ("knosco", "gnosco", "VERB"),
+         ('di"xit', 'dic"o', "VERB"), ("a\\b", "a\\c", "X")],
+        [("\u00e6dificium", "\u00e6dificium", "NOUN"),
+         ("uer\u2028bum", "uer\u2028bum", "NOUN"), ("%sam", "%sa", "NOUN"),
+         ("\u1f00\u03b3\u03b9\u03bf\u03c2", "\u1f05\u03b3\u03b9\u03bf\u03c2", "ADJ")],
+    ], name="escaping")
+
+
+@pytest.mark.parametrize("which", ["mini-base", "mini-staged", "escaping", "empty"])
+def test_model_files_match_json_dump_reference(tmp_path, which):
+    model = {"mini-base": MINI_MODELS[0], "mini-staged": MINI_MODELS[1],
+             "escaping": train_lemmatizer(_escaping_corpus()),
+             "empty": train_lemmatizer(simple_doc([[("CD", "_", "SYM")]]))}[which]
+    new_path, reference_path = tmp_path / "new.json", tmp_path / "reference.json"
+    save_model(model, str(new_path))
+    json_dump_save_model(model, str(reference_path))
+    assert new_path.read_bytes() == reference_path.read_bytes()
+    resaved = tmp_path / "resaved.json"
+    save_model(load_model(str(new_path)), str(resaved))
+    assert resaved.read_bytes() == reference_path.read_bytes()

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 from decimal import Decimal
 
 import pytest
 
 from medlatin.conllu import serialize
+from medlatin.errors import MedlatinError
 from medlatin.registry import load_registry, reference_registry
 from medlatin.scenarios import (MissingDataset, ResultRow,
                                 RunPlan, Scenario, TrainingRun, compare,
@@ -151,6 +153,47 @@ def test_results_file_roundtrip_and_merge(tmp_path):
     merged = {(r.run_id, r.genre, r.task): r.accuracy for r in read_results_file(path)}
     assert merged[("r1", "Annals", "upos")] == Decimal("95.00")
     assert merged[("r2", "Annals", "upos")] == Decimal("80.00")
+
+
+RESULTS_HEAD = "#format=medlatin.results.v1\nrun_id\tscenario\tgenre\ttask\taccuracy\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("r1\tbaseline\tAnnals", "expected 5 tab-separated fields, got 3"),
+    ("r1\tbaseline\tAnnals\tupos\t90.00\textra", "expected 5 tab-separated fields, got 6"),
+    ("r1\tbaseline\tAnnals\tupos\tninety", "accuracy 'ninety' is not a decimal"),
+    ("r1\tbaseline\tAnnals\tupos\tNaN", "accuracy 'NaN' is not a decimal"),
+    ("r1\tbaseline\tAnnals\tupos\t", "accuracy '' is not a decimal"),
+    ("r1\tbaseline\tAnnals\tupos\t 90.00", "accuracy ' 90.00' is not a decimal"),
+])
+def test_read_results_file_rejects_malformed_row(tmp_path, row, message):
+    path = tmp_path / "results.tsv"
+    path.write_text(RESULTS_HEAD + "r0\tud_all\tAnnals\tupos\t80.00\n" + row + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MedlatinError, match=f"results.tsv:4: {message}"):
+        read_results_file(str(path))
+
+
+@pytest.mark.parametrize("failure", ["unencodable-row", "replace-fails"])
+def test_failed_results_write_keeps_previous_store(tmp_path, monkeypatch, failure):
+    path = tmp_path / "results.tsv"
+    write_results_file(str(path), [ResultRow("r1", "baseline", "Annals", "upos",
+                                             Decimal("90.00"))])
+    before = path.read_bytes()
+    row = ResultRow("r2", "ud_all", "Annals", "upos", Decimal("80.00"))
+    if failure == "unencodable-row":
+        # A lone surrogate cannot be encoded as UTF-8: the write fails after
+        # the temporary file was opened.
+        with pytest.raises(UnicodeEncodeError):
+            merge_results_file(str(path), [dataclasses.replace(row, run_id="r\ud800")])
+    else:
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            merge_results_file(str(path), [row])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["results.tsv"]
 
 
 def test_compare_biography_upos_column():

@@ -298,6 +298,22 @@ def test_training_and_model_files_match_flat_reference(tmp_path, task):
         assert new_path.read_bytes() == flat_path.read_bytes()
 
 
+def test_save_model_writes_signed_zeros_and_repeated_weights_like_json(tmp_path, toy_corpus):
+    model = train(toy_corpus, "upos", epochs=1, seed=0)
+    rows = [[0, 0, -0.0], [0, 1, 0.0], [1, 0, 0.0], [1, 1, -0.0], [2, 0, 0.1 + 0.2],
+            [2, 1, 0.3], [3, 0, 0.30000000000000004], [3, 1, 1e-05], [4, 0, 1e300]]
+    path, reference = tmp_path / "model.json", tmp_path / "reference.json"
+    save_model(model, str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["weights"] = rows
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    save_model(load_model(str(path)), str(path))
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, ensure_ascii=False, indent=0, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_staged_ufeats_model_roundtrip_is_exact(tmp_path):
     base = train(mini_dataset("ud_alpha"), "ufeats", epochs=3, seed=1)
     staged = train(mini_dataset("Annals"), "ufeats", epochs=2, base=base, seed=2)
@@ -332,6 +348,13 @@ MALFORMED = {
     "negative-tag-index": _set_weights(lambda payload: [0, -1, 1.0]),
     "unknown-feature-id": _set_weights(
         lambda payload: [len(payload["feature_vocabulary"]), 0, 1.0]),
+    "infinite-weight": _set_weights(lambda payload: [0, 0, float("inf")]),
+    "negative-infinite-weight": _set_weights(lambda payload: [0, 0, float("-inf")]),
+    "nan-weight": _set_weights(lambda payload: [0, 0, float("nan")]),
+    "string-weight": _set_weights(lambda payload: [0, 0, "1.0"]),
+    "boolean-weight": _set_weights(lambda payload: [0, 0, True]),
+    "null-weight": _set_weights(lambda payload: [0, 0, None]),
+    "overflowing-int-weight": _set_weights(lambda payload: [0, 0, 10 ** 400]),
 }
 
 
