@@ -16,6 +16,7 @@ handed to the writer as JSONItems.
 
 import json
 import os
+import stat
 from itertools import islice
 from json.encoder import encode_basestring as json_string
 
@@ -114,11 +115,27 @@ def write_file(path: str, chunks) -> None:
     """Write the text chunks to path as UTF-8 through a temporary file in
     the same directory and os.replace, so the path holds either its old
     content or all of the new, never a part.  On an error the temporary
-    file is removed and the old content stays."""
+    file is removed and the old content stays.
+
+    A symlink is followed, so its target is replaced and the link stays,
+    and an existing file keeps its mode.  A path that exists but is not a
+    regular file, such as /dev/stdout or a pipe, is written in place.
+    """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

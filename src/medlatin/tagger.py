@@ -243,25 +243,14 @@ def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
     return tags
 
 
-_WEIGHT_ROW = json_row("%d", "%d", "%s")  # feature id, tag index, weight
+_WEIGHT_ROW = json_row("%d", "%d", "%r")  # feature id, tag index, weight
 
 
 def _weight_rows(weights: dict[int, dict[int, float]]):
-    """The weight rows' JSON texts, sorted by feature id, then tag index.
-
-    A model repeats few distinct weights (the averages of the same updates),
-    and float.__repr__ costs more than a dict lookup, so each weight's text
-    is made once.  Zero is not cached, as 0.0 and -0.0 are equal keys.
-    """
-    texts: dict[float, str] = {}
+    """The weight rows' JSON texts, sorted by feature id, then tag index."""
     for f, row in sorted(weights.items()):
         for t, w in sorted(row.items()):
-            text = texts.get(w)
-            if text is None:
-                text = float.__repr__(w)
-                if w:
-                    texts[w] = text
-            yield _WEIGHT_ROW % (f, t, text)
+            yield _WEIGHT_ROW % (f, t, w)
 
 
 def save_model(model: TaggerModel, path: str) -> None:

@@ -1,6 +1,8 @@
 import json
 import os
+import stat
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -116,3 +118,28 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, failure):
             write_file(str(path), ["new content\n"])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_write_follows_symlink_and_keeps_mode(tmp_path):
+    target, link = tmp_path / "model.json", tmp_path / "link.json"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    write_file(str(link), ["new\n"])
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "model.json"]
+
+
+def test_write_to_a_pipe_goes_in_place(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text()), daemon=True)
+    reader.start()
+    write_file(str(pipe), ["a", "b\n"])
+    reader.join(10)
+    assert received == ["ab\n"]
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]

@@ -298,7 +298,7 @@ def test_training_and_model_files_match_flat_reference(tmp_path, task):
         assert new_path.read_bytes() == flat_path.read_bytes()
 
 
-def test_save_model_writes_signed_zeros_and_repeated_weights_like_json(tmp_path, toy_corpus):
+def test_save_model_writes_signed_zeros_and_float_reprs_like_json(tmp_path, toy_corpus):
     model = train(toy_corpus, "upos", epochs=1, seed=0)
     rows = [[0, 0, -0.0], [0, 1, 0.0], [1, 0, 0.0], [1, 1, -0.0], [2, 0, 0.1 + 0.2],
             [2, 1, 0.3], [3, 0, 0.30000000000000004], [3, 1, 1e-05], [4, 0, 1e300]]
