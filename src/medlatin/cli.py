@@ -30,8 +30,8 @@ from . import lemmatizer as lemmatizer_mod
 from . import normalize as normalize_mod
 from . import scenarios as scenarios_mod
 from . import tagger as tagger_mod
-from .conllu import Document, parse_conllu, serialize, validate
-from .errors import MedlatinError
+from .conllu import Document, concat_documents, parse_conllu, serialize, validate
+from .errors import MedlatinError, write_file
 from .evaluation import FIELDS, evaluate
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
                        reference_registry, validate_registry)
@@ -72,8 +72,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(path, [text])
 
 
 def _aligned(rows: list[list[str]]) -> str:
@@ -164,16 +163,18 @@ def cmd_normalize(args) -> int:
 
 # ---------------------------------------------------------------- tagger
 
+def _read_corpus(paths: list[str], drop_unsupported: bool) -> Document:
+    return concat_documents([_read_doc(p, drop_unsupported) for p in paths], "+".join(paths))
+
+
 def cmd_tagger_train(args) -> int:
-    docs = [_read_doc(p, args.drop_unsupported) for p in args.infile]
-    sentences = tuple(s for d in docs for s in d.sentences)
-    corpus = Document(sentences, "+".join(args.infile))
+    corpus = _read_corpus(args.infile, args.drop_unsupported)
     base = tagger_mod.load_model(args.base) if args.base else None
     model = tagger_mod.train(corpus, args.task, epochs=args.epochs, base=base,
                              seed=args.seed, datasets=tuple(args.infile))
     tagger_mod.save_model(model, args.out)
     log.info("trained %s tagger on %d sentences -> %s",
-             args.task, len(sentences), args.out)
+             args.task, len(corpus.sentences), args.out)
     return 0
 
 
@@ -188,13 +189,11 @@ def cmd_tagger_tag(args) -> int:
 # ------------------------------------------------------------- lemmatize
 
 def cmd_lemmatize_train(args) -> int:
-    docs = [_read_doc(p, args.drop_unsupported) for p in args.infile]
-    sentences = tuple(s for d in docs for s in d.sentences)
-    corpus = Document(sentences, "+".join(args.infile))
+    corpus = _read_corpus(args.infile, args.drop_unsupported)
     base = lemmatizer_mod.load_model(args.base) if args.base else None
     model = lemmatizer_mod.train_lemmatizer(corpus, base=base, datasets=tuple(args.infile))
     lemmatizer_mod.save_model(model, args.out)
-    log.info("trained lemmatizer on %d sentences -> %s", len(sentences), args.out)
+    log.info("trained lemmatizer on %d sentences -> %s", len(corpus.sentences), args.out)
     return 0
 
 

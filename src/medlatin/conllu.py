@@ -30,7 +30,6 @@ UPOS_TAGS = frozenset({
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
-_PLAIN_ID = re.compile(r"^\d+$")
 _SENT_ID_COMMENT = re.compile(r"^#\s*sent_id\s*=\s*(.*)$")
 
 
@@ -146,6 +145,7 @@ def parse_conllu(text: str, source_name: str = "<string>",
     tokens: list[Token] = []
     first_comment_line = 0
     dropped = 0
+    feats_table: dict[str, tuple[tuple[str, str], ...]] = {}  # FEATS column -> ufeats
 
     def flush() -> None:
         nonlocal comments, tokens
@@ -182,27 +182,24 @@ def parse_conllu(text: str, source_name: str = "<string>",
         fields = line.split("\t")
         if len(fields) != 10:
             raise MalformedLine(line_no, f"expected 10 tab-separated fields, got {len(fields)}")
-        if any(f == "" for f in fields):
+        if "" in fields:
             raise MalformedLine(line_no, "empty column (use '_' for absent values)")
-        raw_id = fields[0]
-        if _RANGE_ID.match(raw_id) or _EMPTY_NODE_ID.match(raw_id):
-            if drop_unsupported:
-                dropped += 1
-                continue
-            raise UnsupportedToken(line_no, raw_id)
-        if not _PLAIN_ID.match(raw_id):
+        raw_id, form, lemma, upos, xpos, raw_feats, head, deprel, deps, misc = fields
+        # isdecimal() is true exactly for a run of Unicode Nd digits, what \d+ matches.
+        if not raw_id.isdecimal():
+            if _RANGE_ID.match(raw_id) or _EMPTY_NODE_ID.match(raw_id):
+                if drop_unsupported:
+                    dropped += 1
+                    continue
+                raise UnsupportedToken(line_no, raw_id)
             raise MalformedLine(line_no, f"token id {raw_id!r} is not a positive integer")
-        if fields[3] not in UPOS_TAGS:
-            raise InvalidUpos(line_no, fields[3])
-        tokens.append(Token(
-            id=int(raw_id),
-            form=fields[1],
-            lemma=fields[2],
-            upos=fields[3],
-            ufeats=feats_from_string(fields[5], line_no),
-            misc=fields[9],
-            extra_cols=(fields[4], fields[6], fields[7], fields[8]),
-        ))
+        if upos not in UPOS_TAGS:
+            raise InvalidUpos(line_no, upos)
+        ufeats = feats_table.get(raw_feats)
+        if ufeats is None:
+            ufeats = feats_table[raw_feats] = feats_from_string(raw_feats, line_no)
+        tokens.append(Token(int(raw_id), form, lemma, upos, ufeats, misc,
+                            (xpos, head, deprel, deps)))
     flush()
     if comments:
         raise MalformedLine(first_comment_line, "comment lines not followed by a sentence")

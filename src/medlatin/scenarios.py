@@ -34,7 +34,7 @@ from decimal import Decimal
 
 from . import lemmatizer as lemmatizer_mod
 from . import tagger as tagger_mod
-from .conllu import Document
+from .conllu import Document, concat_documents
 from .errors import MedlatinError, write_file
 from .evaluation import evaluate
 from .registry import Registry, load_dataset, make_cv_splits, split_for_validation
@@ -196,11 +196,8 @@ def derive_seed(base_seed: int, run_id: str, stage_index: int) -> int:
 
 def materialize_corpus(registry: Registry, dataset_names: tuple[str, ...],
                        drop_unsupported: bool = False) -> Document:
-    docs = [load_dataset(registry, name, drop_unsupported) for name in dataset_names]
-    sentences: list = []
-    for d in docs:
-        sentences.extend(d.sentences)
-    return Document(tuple(sentences), "+".join(dataset_names))
+    return concat_documents([load_dataset(registry, name, drop_unsupported)
+                             for name in dataset_names], "+".join(dataset_names))
 
 
 def predict_document(model, task: str, gold: Document) -> Document:

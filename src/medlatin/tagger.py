@@ -13,13 +13,19 @@ tag); decoding feeds back the predicted tag.  Ties in scoring break toward
 the lexicographically smallest tag, so an untrained model with zero weights
 tags everything with the first tag of the sorted tagset.
 
+extract_features emits a token's features in a fixed order that is their
+sorted order, so it neither sorts nor deduplicates them.
+
 Weights are stored feature-major, as in Honnibal's "A good POS tagger in
 about 200 lines of Python" (2013): feature id -> {tag index: weight}.
 Scoring a token reads only the rows of its active features and adds each
 row into a per-tag score list, feature by feature in the order
 extract_features returns them, so every tag's sum is taken in the same
-order as a (feature, tag) lookup per tag would take it.  Training drops
-zero weights and empty rows.  The on-disk format does not depend on this
+order as a (feature, tag) lookup per tag would take it.  train and tag
+score through the same helper.  train reads each sentence's gold labels
+and their tag indices once per call, and keeps the lazy-averaging totals
+and timestamps in rows keyed like the weights.  Training drops zero
+weights and empty rows.  The on-disk format does not depend on this
 layout: a model file lists the weights as [feature id, tag index, weight]
 rows sorted by feature id, then tag index.
 
@@ -85,35 +91,44 @@ def gold_label(token, task: str) -> str:
 
 
 def extract_features(sentence: Sentence, index: int, prev_tag: str = BOUNDARY) -> tuple[str, ...]:
-    """Deterministic sparse features for one token, sorted and deduplicated.
+    """Deterministic sparse features for one token, in sorted order.
+
+    The features come out in a fixed order that is also their sorted order:
+    all_caps, has_digit, is_cap, nw=, p1= to p4=, pt=, pw=, s1= to s4=,
+    w=.  Every two of these differ within their first two characters, so
+    that order does not depend on the token and no feature repeats.
 
     prev_tag is decoding state: gold previous tag during training (teacher
     forcing), predicted previous tag during greedy decoding.
     """
-    if not 0 <= index < len(sentence.tokens):
+    tokens = sentence.tokens
+    if not 0 <= index < len(tokens):
         raise IndexOutOfRange(f"token index {index} out of range")
-    form = sentence.tokens[index].form
+    form = tokens[index].form
     low = form.lower()
-    feats = {f"w={low}", f"pt={prev_tag}"}
-    for n in range(1, min(4, len(low)) + 1):
-        feats.add(f"p{n}={low[:n]}")
-        feats.add(f"s{n}={low[-n:]}")
-    if any(ch.isdigit() for ch in form):
-        feats.add("has_digit")
-    if form[0].isupper():
-        feats.add("is_cap")
+    flags = ()
     if form.isupper():
-        feats.add("all_caps")
-    prev_form = sentence.tokens[index - 1].form.lower() if index > 0 else BOUNDARY
-    next_form = (sentence.tokens[index + 1].form.lower()
-                 if index + 1 < len(sentence.tokens) else END_BOUNDARY)
-    feats.add(f"pw={prev_form}")
-    feats.add(f"nw={next_form}")
-    return tuple(sorted(feats))
+        flags += ("all_caps",)
+    if any(map(str.isdigit, form)):
+        flags += ("has_digit",)
+    if form[0].isupper():
+        flags += ("is_cap",)
+    n = min(4, len(low))
+    next_form = tokens[index + 1].form.lower() if index + 1 < len(tokens) else END_BOUNDARY
+    prev_form = tokens[index - 1].form.lower() if index > 0 else BOUNDARY
+    return (flags + (f"nw={next_form}",)
+            + (f"p1={low[:1]}", f"p2={low[:2]}", f"p3={low[:3]}", f"p4={low[:4]}")[:n]
+            + (f"pt={prev_tag}", f"pw={prev_form}")
+            + (f"s1={low[-1:]}", f"s2={low[-2:]}", f"s3={low[-3:]}", f"s4={low[-4:]}")[:n]
+            + (f"w={low}",))
 
 
-def _best_tag(tagset: tuple[str, ...], weights: dict[int, dict[int, float]],
-              feature_ids: list[int]) -> str:
+def _best_index(tagset: tuple[str, ...], weights: dict[int, dict[int, float]],
+                feature_ids) -> int:
+    """Index of the best-scoring tag; a tie goes to the smallest tag.
+
+    feature_ids may hold None for a feature the model does not know.
+    """
     scores = [0.0] * len(tagset)
     for f_id in feature_ids:
         row = weights.get(f_id)
@@ -122,8 +137,8 @@ def _best_tag(tagset: tuple[str, ...], weights: dict[int, dict[int, float]],
                 scores[t_idx] += w
     best = max(scores)
     if scores.count(best) == 1:
-        return tagset[scores.index(best)]
-    return min(t for t, score in zip(tagset, scores) if score == best)
+        return scores.index(best)
+    return min((i for i, score in enumerate(scores) if score == best), key=tagset.__getitem__)
 
 
 def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
@@ -151,69 +166,60 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
         w = {f_id: dict(row) for f_id, row in base.weights.items()}
     else:
         tagset, vocab, w = [], {}, {}
+    sentences = corpus.sentences
+    labels = [[gold_label(t, task) for t in s.tokens] for s in sentences]
     known = set(tagset)
-    corpus_tags = sorted({gold_label(t, task) for s in corpus.sentences for t in s.tokens})
-    for tag in corpus_tags:
-        if tag not in known:
-            tagset.append(tag)
-            known.add(tag)
+    for label in sorted({label for sentence_labels in labels for label in sentence_labels}):
+        if label not in known:
+            tagset.append(label)
+            known.add(label)
     tagset_t = tuple(tagset)
     tag_index = {t: i for i, t in enumerate(tagset_t)}
+    gold_indices = [[tag_index[label] for label in sentence_labels] for sentence_labels in labels]
 
-    def feature_ids(feats: tuple[str, ...], grow: bool) -> list[int]:
-        ids = []
-        for f in feats:
-            f_id = vocab.get(f)
-            if f_id is None:
-                if not grow:
-                    continue
-                f_id = len(vocab)
-                vocab[f] = f_id
-            ids.append(f_id)
-        return ids
-
-    # Lazy averaging: acc accumulates sum-over-steps of each weight, flushed
-    # at (last-touched, now] intervals; untouched keys average to their
-    # starting value, which keeps epochs=0 an exact identity on the base.
-    acc: dict[tuple[int, int], float] = {}
-    ts: dict[tuple[int, int], int] = {}
+    # Lazy averaging: acc[f][t] accumulates sum-over-steps of weight (f, t),
+    # flushed at (ts[f][t], now] intervals; untouched weights average to
+    # their starting value, which keeps epochs=0 an exact identity on the base.
+    acc: dict[int, dict[int, float]] = {}
+    ts: dict[int, dict[int, int]] = {}
     step = 0
 
-    def bump(row: dict[int, float], f_id: int, t_idx: int, delta: float) -> None:
-        key = (f_id, t_idx)
-        value = row.get(t_idx, 0.0)
-        acc[key] = acc.get(key, 0.0) + (step - ts.get(key, 0)) * value
-        ts[key] = step
-        row[t_idx] = value + delta
-
     rng = random.Random(seed)
-    order = list(range(len(corpus.sentences)))
+    order = list(range(len(sentences)))
     for _ in range(epochs):
         rng.shuffle(order)
         for s_i in order:
-            sentence = corpus.sentences[s_i]
+            sentence, sentence_labels = sentences[s_i], labels[s_i]
             prev = BOUNDARY
-            for i in range(len(sentence.tokens)):
-                feats = extract_features(sentence, i, prev)
-                ids = feature_ids(feats, grow=True)
-                gold = gold_label(sentence.tokens[i], task)
-                pred = _best_tag(tagset_t, w, ids)
-                if pred != gold:
-                    g_idx, p_idx = tag_index[gold], tag_index[pred]
+            for i, g_idx in enumerate(gold_indices[s_i]):
+                ids = []
+                for f in extract_features(sentence, i, prev):
+                    f_id = vocab.get(f)
+                    if f_id is None:
+                        f_id = vocab[f] = len(vocab)
+                    ids.append(f_id)
+                p_idx = _best_index(tagset_t, w, ids)
+                if p_idx != g_idx:
                     for f_id in ids:
                         row = w.setdefault(f_id, {})
-                        bump(row, f_id, g_idx, 1.0)
-                        bump(row, f_id, p_idx, -1.0)
-                prev = gold
+                        acc_row = acc.setdefault(f_id, {})
+                        ts_row = ts.setdefault(f_id, {})
+                        for t_idx, delta in ((g_idx, 1.0), (p_idx, -1.0)):
+                            value = row.get(t_idx, 0.0)
+                            acc_row[t_idx] = (acc_row.get(t_idx, 0.0)
+                                              + (step - ts_row.get(t_idx, 0)) * value)
+                            ts_row[t_idx] = step
+                            row[t_idx] = value + delta
+                prev = sentence_labels[i]
                 step += 1
 
     averaged: dict[int, dict[int, float]] = {}
     for f_id, row in w.items():
+        acc_row, ts_row = acc.get(f_id, {}), ts.get(f_id, {})
         kept = {}
         for t_idx, value in row.items():
             if step:
-                key = (f_id, t_idx)
-                value = (acc.get(key, 0.0) + (step - ts.get(key, 0)) * value) / step
+                value = (acc_row.get(t_idx, 0.0) + (step - ts_row.get(t_idx, 0)) * value) / step
             if value != 0.0:
                 kept[t_idx] = value
         if kept:
@@ -231,15 +237,13 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
 
 def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
     """Greedy left-to-right tagging; one tag per token, always."""
-    vocab = model.feature_vocabulary
+    tagset, vocab = model.tagset, model.feature_vocabulary
     tags: list[str] = []
     prev = BOUNDARY
     for i in range(len(sentence.tokens)):
         feats = extract_features(sentence, i, prev)
-        ids = [vocab[f] for f in feats if f in vocab]
-        predicted = _best_tag(model.tagset, model.weights, ids)
-        tags.append(predicted)
-        prev = predicted
+        prev = tagset[_best_index(tagset, model.weights, map(vocab.get, feats))]
+        tags.append(prev)
     return tags
 
 

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from medlatin.cli import run_cli
 from medlatin.conllu import parse_conllu
@@ -321,3 +324,39 @@ def test_scenario_run_uses_config_output_dir(tmp_path, capsys):
         f"output_dir = {out_dir}\n", encoding="utf-8")
     assert run_cli(["--config", str(cfg), "scenario", "run", "--epochs", "1"]) == 0
     assert (out_dir / "results.tsv").exists()
+
+
+def test_failed_out_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
+    # A form with a lone surrogate, as stdin decodes undecodable bytes under
+    # the C locale, cannot be written as UTF-8: the write fails part way.
+    train_file = tmp_path / "train.conllu"
+    train_file.write_text("1\tterram\tterra\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    model = tmp_path / "lemma.json"
+    assert run_cli(["lemmatize", "train", "--in", str(train_file), "--out", str(model)]) == 0
+    out = tmp_path / "lemmas.txt"
+    out.write_text("previous\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("terram:NOUN\nportam\udcff:NOUN\n"))
+    assert run_cli(["lemmatize", "run", "--model", str(model), "--out", str(out)]) == 1
+    assert "UnicodeEncodeError" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lemma.json", "lemmas.txt", "train.conllu"]
+
+
+@pytest.mark.parametrize("command", [
+    ["normalize", "--in", TOY_CORPUS],
+    ["tagger", "tag", "--model", "MODEL", "--in", TOY_CORPUS],
+])
+def test_out_is_replaced_only_when_complete(tmp_path, capsys, monkeypatch, command):
+    model = tmp_path / "tagger.json"
+    assert run_cli(["tagger", "train", "--task", "upos", "--in", TOY_CORPUS,
+                    "--out", str(model), "--epochs", "1"]) == 0
+    out = tmp_path / "out.conllu"
+    out.write_text("previous\n", encoding="utf-8")
+
+    def interrupted(src, dst):
+        raise OSError("interrupted before the rename")
+    monkeypatch.setattr("medlatin.errors.os.replace", interrupted)
+    argv = [str(model) if arg == "MODEL" else arg for arg in command]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.conllu", "tagger.json"]

@@ -1,13 +1,17 @@
 import glob
 import os
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from medlatin.conllu import (Document, InvalidUpos, MalformedLine,
+from medlatin.conllu import (UPOS_TAGS, Document, InvalidUpos, MalformedLine,
                              NonConsecutiveIds, Sentence, Token,
-                             UnsupportedToken, parse_conllu, serialize,
-                             validate)
+                             UnsupportedToken, feats_from_string, parse_conllu,
+                             serialize, validate)
+from medlatin.errors import MedlatinError
 
 from conftest import ROUNDTRIP_DIR, doc, sent, tok
 
@@ -219,3 +223,137 @@ def test_validate_gap_in_ids_and_empty_form():
     bad = doc(sent(Token(1, "a", "a", "NOUN"), Token(3, "", "b", "NOUN")))
     rules = {v.rule for v in validate(bad)}
     assert rules == {"NonConsecutiveIds", "EmptyForm"}
+
+
+# Reference implementation: the parser before the FEATS table and the
+# isdecimal() id test.  parse_conllu must give the same Document, or raise
+# the same error type with the same message.
+
+def reference_parse_conllu(text, source_name="<string>", drop_unsupported=False):
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    sentences, comments, tokens = [], [], []
+    first_comment_line = 0
+    dropped = 0
+
+    def flush():
+        nonlocal comments, tokens
+        if not tokens:
+            return
+        sent_index = len(sentences)
+        for pos, token in enumerate(tokens):
+            if token.id != pos + 1:
+                raise NonConsecutiveIds(sent_index)
+        sent_id = None
+        for c in comments:
+            m = re.match(r"^#\s*sent_id\s*=\s*(.*)$", c)
+            if m:
+                sent_id = m.group(1).strip()
+                break
+        sentences.append(Sentence(tuple(tokens), sent_id, tuple(comments)))
+        comments, tokens = [], []
+
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    for line_no, line in enumerate(lines, start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
+        if line == "":
+            flush()
+            continue
+        if line.startswith("#"):
+            if not tokens and not comments:
+                first_comment_line = line_no
+            comments.append(line)
+            continue
+        fields = line.split("\t")
+        if len(fields) != 10:
+            raise MalformedLine(line_no, f"expected 10 tab-separated fields, got {len(fields)}")
+        if any(f == "" for f in fields):
+            raise MalformedLine(line_no, "empty column (use '_' for absent values)")
+        raw_id = fields[0]
+        if re.match(r"^\d+-\d+$", raw_id) or re.match(r"^\d+\.\d+$", raw_id):
+            if drop_unsupported:
+                dropped += 1
+                continue
+            raise UnsupportedToken(line_no, raw_id)
+        if not re.match(r"^\d+$", raw_id):
+            raise MalformedLine(line_no, f"token id {raw_id!r} is not a positive integer")
+        if fields[3] not in UPOS_TAGS:
+            raise InvalidUpos(line_no, fields[3])
+        tokens.append(Token(
+            id=int(raw_id), form=fields[1], lemma=fields[2], upos=fields[3],
+            ufeats=feats_from_string(fields[5], line_no), misc=fields[9],
+            extra_cols=(fields[4], fields[6], fields[7], fields[8]),
+        ))
+    flush()
+    if comments:
+        raise MalformedLine(first_comment_line, "comment lines not followed by a sentence")
+    provenance = (f"dropped {dropped} unsupported token line(s)",) if dropped else ()
+    return Document(tuple(sentences), source_name, provenance)
+
+
+def parse_outcome(parse, text, drop_unsupported):
+    """The parsed document with its provenance, or the error's type and message."""
+    try:
+        d = parse(text, "gen", drop_unsupported)
+    except MedlatinError as exc:
+        return type(exc), str(exc)
+    return d, d.source_name, d.provenance
+
+
+# Ids that replace a token's position: "" is an empty column; "١٢" is
+# decimal (Unicode Nd) and int() reads it as 12; "²" is a digit but not
+# decimal; "3-4" and "3.1" are unsupported.
+ODD_IDS = ["", "0", "١", "١٢", "٣", "²", "3-4", "3.1", "1a", "01"]
+GOOD_FEATS = ["_", "Case=Nom", "Number=Sing|Case=Nom", "B=2|A=1"]
+BAD_FEATS = ["Case=Nom|Case=Acc", "Case", "=Nom", "Case="]
+# Each token line gets at most one fault; most get none.
+FAULTS = [None] * 6 + ["id", "empty column", "field count", "upos"]
+
+
+@st.composite
+def conllu_texts(draw):
+    """CoNLL-U text with sentences of consecutive ids, some lines faulty."""
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        lines += draw(st.lists(st.sampled_from(["# sent_id = s1", "# note"]), max_size=2))
+        for position in range(1, draw(st.integers(1, 4)) + 1):
+            fields = [str(position), "forma", "lemma", "NOUN", "_",
+                      draw(st.sampled_from(GOOD_FEATS * 3 + BAD_FEATS)), "_", "_", "_", "_"]
+            fault = draw(st.sampled_from(FAULTS))
+            if fault == "id":
+                fields[0] = draw(st.sampled_from(ODD_IDS))
+            elif fault == "empty column":
+                fields[draw(st.integers(0, 9))] = ""
+            elif fault == "field count":
+                fields = (fields + ["_"])[:draw(st.sampled_from([1, 9, 11]))]
+            elif fault == "upos":
+                fields[3] = "NN"
+            lines.append("\t".join(fields))
+        lines.append("")
+    lines += draw(st.lists(st.sampled_from(["# trailing comment", ""]), max_size=1))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=conllu_texts(), drop_unsupported=st.booleans())
+@example(text="1\ta\ta\tNOUN\t_\tB=2|A=1\t_\t_\t_\t_\n"
+              "2\tb\tb\tNOUN\t_\tB=2|A=1\t_\t_\t_\t_\n\n", drop_unsupported=False)
+@example(text="1-2\tdelle\t_\t_\t_\t_\t_\t_\t_\t_\n1\tde\tde\tADP\t_\t_\t_\t_\t_\t_\n"
+              "1.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n\n", drop_unsupported=True)
+def test_parse_conllu_matches_reference(text, drop_unsupported):
+    assert (parse_outcome(parse_conllu, text, drop_unsupported)
+            == parse_outcome(reference_parse_conllu, text, drop_unsupported))
+
+
+def test_repeated_bad_feats_error_names_its_first_line():
+    text = ("1\ta\ta\tNOUN\t_\tCase=Nom\t_\t_\t_\t_\n"
+            "2\tb\tb\tNOUN\t_\tCase\t_\t_\t_\t_\n"
+            "3\tc\tc\tNOUN\t_\tCase\t_\t_\t_\t_\n\n")
+    with pytest.raises(MalformedLine) as exc:
+        parse_conllu(text)
+    assert exc.value.line_no == 2
+    assert (parse_outcome(parse_conllu, text, False)
+            == parse_outcome(reference_parse_conllu, text, False))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.registry import load_dataset, load_registry
-from medlatin.tagger import (BOUNDARY, MODEL_FORMAT, REFERENCE_FINETUNE_CONFIG,
+from medlatin.tagger import (BOUNDARY, END_BOUNDARY, MODEL_FORMAT, REFERENCE_FINETUNE_CONFIG,
                              IndexOutOfRange, TaggerModel, TaskMismatch, TrainingStage,
-                             _best_tag, extract_features, gold_label, load_model,
+                             _best_index, extract_features, gold_label, load_model,
                              save_model, tag, train)
 
 from conftest import MINI_REGISTRY, sent, simple_doc, tok
@@ -59,6 +59,51 @@ def test_features_sorted_deduplicated():
     s = sent(tok(1, "a", "a", "NOUN"))
     feats = extract_features(s, 0)
     assert list(feats) == sorted(set(feats))
+
+
+# Reference implementation: the set-and-sort feature extractor that the
+# fixed-order tuple replaced.  extract_features must return exactly its tuple.
+
+def set_sort_extract_features(sentence, index, prev_tag=BOUNDARY):
+    if not 0 <= index < len(sentence.tokens):
+        raise IndexOutOfRange(f"token index {index} out of range")
+    form = sentence.tokens[index].form
+    low = form.lower()
+    feats = {f"w={low}", f"pt={prev_tag}"}
+    for n in range(1, min(4, len(low)) + 1):
+        feats.add(f"p{n}={low[:n]}")
+        feats.add(f"s{n}={low[-n:]}")
+    if any(ch.isdigit() for ch in form):
+        feats.add("has_digit")
+    if form[0].isupper():
+        feats.add("is_cap")
+    if form.isupper():
+        feats.add("all_caps")
+    prev_form = sentence.tokens[index - 1].form.lower() if index > 0 else BOUNDARY
+    next_form = (sentence.tokens[index + 1].form.lower()
+                 if index + 1 < len(sentence.tokens) else END_BOUNDARY)
+    feats.add(f"pw={prev_form}")
+    feats.add(f"nw={next_form}")
+    return tuple(sorted(feats))
+
+
+# Upper and lower case, ASCII digits, "²" (a digit but not decimal), "٣" (a
+# decimal digit), and "İ", whose lower() is two characters long.
+FORM = st.text("aAeEzZß09²٣İ=|", min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms=st.lists(FORM, min_size=1, max_size=4), prev_tag=st.text(max_size=6))
+@example(forms=["İİİİİ", "Ab"], prev_tag="a=b|c")
+def test_extract_features_matches_set_and_sort_reference(forms, prev_tag):
+    s = sent(*(tok(i + 1, form) for i, form in enumerate(forms)))
+    for index in range(-1, len(forms) + 1):
+        if 0 <= index < len(forms):
+            assert extract_features(s, index, prev_tag) == set_sort_extract_features(
+                s, index, prev_tag)
+        else:
+            with pytest.raises(IndexOutOfRange):
+                extract_features(s, index, prev_tag)
 
 
 def test_toy_corpus_converges_to_100_within_10_epochs(toy_corpus):
@@ -277,7 +322,7 @@ def test_feature_major_scoring_matches_flat_reference(case):
     rows = {}
     for (f, t), w in flat.items():
         rows.setdefault(f, {})[t] = w
-    assert _best_tag(tagset, rows, ids) == flat_best_tag(tagset, flat, ids)
+    assert tagset[_best_index(tagset, rows, ids)] == flat_best_tag(tagset, flat, ids)
 
 
 def mini_dataset(name):
