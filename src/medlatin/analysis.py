@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conllu import Document
+from .conllu import TASKS, Document
 from .errors import MedlatinError
 from .evaluation import EvalReport, check_alignment
 
@@ -185,13 +185,14 @@ def lemma_error_pairs(gold: Document, predicted: Document,
     out the orthographic patterns the mining is after.
     """
     check_alignment(gold, predicted)
+    read = TASKS["lemma"].read
     pairs = []
     for g_sent, p_sent in zip(gold.sentences, predicted.sentences):
         for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
             if g_tok.upos == "SYM" and not include_sym:
                 continue
-            g_lemma = g_tok.lemma.lower()
-            p_lemma = p_tok.lemma.lower()
+            g_lemma = read(g_tok)
+            p_lemma = read(p_tok)
             if g_lemma != p_lemma:
                 pairs.append((g_lemma, p_lemma))
     return pairs

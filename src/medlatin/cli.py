@@ -30,9 +30,9 @@ from . import lemmatizer as lemmatizer_mod
 from . import normalize as normalize_mod
 from . import scenarios as scenarios_mod
 from . import tagger as tagger_mod
-from .conllu import Document, concat_documents, parse_conllu, serialize, validate
+from .conllu import TASKS, Document, concat_documents, parse_conllu, serialize, validate
 from .errors import MedlatinError, write_file
-from .evaluation import FIELDS, evaluate
+from .evaluation import evaluate, evaluate_by_genre
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
                        reference_registry, validate_registry)
 
@@ -75,16 +75,6 @@ def _write_text(path: str | None, text: str) -> None:
         write_file(path, [text])
 
 
-def _aligned(rows: list[list[str]]) -> str:
-    if not rows:
-        return ""
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(val.ljust(widths[i]) for i, val in enumerate(row)).rstrip()
-        for row in rows
-    ) + "\n"
-
-
 def _emit_table(args, command: str, header: list[str], rows: list[list[str]]) -> None:
     if args.machine:
         sys.stdout.write(f"#format=medlatin.{command}.v1\n")
@@ -92,7 +82,14 @@ def _emit_table(args, command: str, header: list[str], rows: list[list[str]]) ->
         for row in rows:
             sys.stdout.write("\t".join(row) + "\n")
     else:
-        sys.stdout.write(_aligned([header] + rows))
+        sys.stdout.write(scenarios_mod.aligned_text([header] + rows))
+
+
+def _task_names(value: str, option: str) -> tuple[str, ...]:
+    names = tuple(value.split(","))
+    if not set(names) <= TASKS.keys() or len(set(names)) != len(names):
+        raise UsageError(f"{option} {value!r}: tasks are {', '.join(TASKS)}, each at most once")
+    return names
 
 
 def _registry_from_args(args) -> Registry:
@@ -152,8 +149,8 @@ def cmd_normalize(args) -> int:
     new_sentences = []
     for sentence in doc.sentences:
         new_tokens = tuple(
-            tok if tok.lemma == "_" else dataclasses.replace(
-                tok, lemma=normalize_mod.normalize_word(ruleset, tok.lemma))
+            tok if tok.lemma == "_" else TASKS["lemma"].write(
+                tok, normalize_mod.normalize_word(ruleset, tok.lemma))
             for tok in sentence.tokens
         )
         new_sentences.append(dataclasses.replace(sentence, tokens=new_tokens))
@@ -222,7 +219,7 @@ def _scenarios_from_args(args) -> list[scenarios_mod.Scenario]:
         raise UsageError("a scenario kind is required (--scenario or config key 'scenario')")
     if args.scenario != "all" and args.scenario not in scenarios_mod.SCENARIO_KINDS:
         raise UsageError(f"unknown scenario {args.scenario!r}")
-    tasks = tuple(args.tasks.split(",")) if args.tasks else scenarios_mod.TASK_ORDER
+    tasks = _task_names(args.tasks, "--tasks") if args.tasks else tuple(TASKS)
     kinds = list(scenarios_mod.SCENARIO_KINDS) if args.scenario == "all" else [args.scenario]
     return [scenarios_mod.Scenario(kind, tasks, args.ud if kind == "ud_plus_specific" else None)
             for kind in kinds]
@@ -290,7 +287,7 @@ def cmd_scenario_compare(args) -> int:
 # ------------------------------------------------------------------ eval
 
 def cmd_eval(args) -> int:
-    fields = tuple(args.fields.split(","))
+    fields = _task_names(args.fields, "--fields")
     gold = _read_doc(args.gold, args.drop_unsupported)
     predicted = _read_doc(args.pred, args.drop_unsupported)
     report = evaluate(gold, predicted, fields)
@@ -341,8 +338,7 @@ def cmd_analyze(args) -> int:
         rows = [[g, p, str(c)] for (g, p), c in ordered]
         _emit_table(args, "analyze.pos", ["gold_upos", "pred_upos", "count"], rows)
     else:  # genres
-        reports = {genre: evaluate(gold, pred, (args.field,))
-                   for genre, (gold, pred) in pairs.items()}
+        reports = evaluate_by_genre(pairs, (args.field,))
         dist = analysis_mod.genre_distribution(reports, args.field)
         rows = []
         for genre in dist.counts:
@@ -397,14 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="rewrite lemmas toward gold orthography")
     p.add_argument("--ruleset", help="ruleset file (default: bundled gold ruleset)")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--field", choices=["lemma"], default="lemma")
     p.add_argument("--out")
     p.set_defaults(func=cmd_normalize)
 
     tagger = sub.add_parser("tagger", help="UPOS / UFeats tagging")
     tagger_sub = tagger.add_subparsers(dest="subcommand", required=True)
     p = tagger_sub.add_parser("train")
-    p.add_argument("--task", choices=list(tagger_mod.TASKS), required=True)
+    p.add_argument("--task", choices=[t for t in TASKS if TASKS[t].tagger], required=True)
     p.add_argument("--in", dest="infile", action="append", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=5)
@@ -437,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario",
                        choices=list(scenarios_mod.SCENARIO_KINDS) + ["all"])
         p.add_argument("--registry")
-        p.add_argument("--tasks", help="comma-separated subset of upos,ufeats,lemma")
+        p.add_argument("--tasks", help=f"comma-separated subset of {','.join(TASKS)}")
         p.add_argument("--ud", help="restrict ud_plus_specific to one treebank")
         if name == "run":
             p.add_argument("--out", help="output directory (models/ and results.tsv)")
@@ -452,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="accuracy of predicted vs gold CoNLL-U")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--fields", default=",".join(FIELDS))
+    p.add_argument("--fields", default=",".join(TASKS))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="error analysis reports")
@@ -461,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genre", action="append",
                    help="label for each --gold/--pred pair (genres report)")
     p.add_argument("--report", choices=["confusions", "pos", "genres"], required=True)
-    p.add_argument("--field", default="lemma",
+    p.add_argument("--field", choices=list(TASKS), default="lemma",
                    help="field for the genres report (default lemma)")
     p.add_argument("--top-k", type=int, default=5,
                    help="patterns per position in the confusions report")

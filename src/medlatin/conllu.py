@@ -19,7 +19,9 @@ and re-emitted verbatim; they are never interpreted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import MedlatinError
 
@@ -127,6 +129,46 @@ def feats_from_string(raw: str, line_no: int) -> tuple[tuple[str, str], ...]:
     if len(set(keys)) != len(keys):
         raise MalformedLine(line_no, f"duplicate feature key in {raw!r}")
     return tuple(sorted(pairs))
+
+
+def _upos_label(label: str) -> str:
+    if label not in UPOS_TAGS:
+        raise ValueError(f"label {label!r} is not a UPOS tag")
+    return label
+
+
+@lru_cache(maxsize=4096)  # tagsets are closed, so a few hundred labels recur
+def _feats_label(label: str) -> tuple[tuple[str, str], ...]:
+    try:
+        ufeats = feats_from_string(label, 0)
+    except MalformedLine as exc:
+        raise ValueError(f"label {label!r} is not a FEATS string: {exc.detail}") from None
+    if ("|".join(map("=".join, ufeats)) or "_") != label or "\t" in label or "\n" in label:
+        raise ValueError(f"label {label!r} is not a canonical FEATS string")
+    return ufeats
+
+
+class Task(NamedTuple):
+    """A row of TASKS.  read(token) is the label a model predicts and
+    evaluation compares; parse(label) is the value of the Token field named
+    like the task, or ValueError for a label that field cannot hold; tagger
+    tells whether the tagger (true) or the lemmatizer serves the task."""
+
+    name: str
+    read: Callable[[Token], str]
+    parse: Callable[[str], object]
+    tagger: bool
+
+    def write(self, tok: Token, label: str) -> Token:
+        return replace(tok, **{self.name: self.parse(label)})
+
+
+# Lemmas are read lowercased, since gold corpora may capitalize proper nouns.
+TASKS = {task.name: task for task in (
+    Task("upos", lambda tok: tok.upos, _upos_label, tagger=True),
+    Task("ufeats", Token.feats_string, _feats_label, tagger=True),
+    Task("lemma", lambda tok: tok.lemma.lower(), str, tagger=False),
+)}
 
 
 def parse_conllu(text: str, source_name: str = "<string>",

@@ -4,22 +4,17 @@ Alignment is a hard precondition, not a best effort: the two documents must
 have identical sentence counts, token counts and forms position-wise, and
 any divergence raises AlignmentMismatch instead of silently skipping tokens
 (the classic evaluation bug).  Accuracy is plain exact-match percentage
-rounded half-up to 2 decimals; ufeats compare in canonical key-sorted form
-and lemmas compare after lowercasing both sides (predicted lemmas are
-produced lowercase, gold corpora may capitalize proper nouns).
+rounded half-up to 2 decimals, of the labels conllu.TASKS reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import Decimal
 
-from .conllu import Document
+from .conllu import TASKS, Document
 from .errors import MedlatinError
-
-FIELDS = ("upos", "ufeats", "lemma")
-
-_TWO_DP = Decimal("0.01")
+from .registry import half_up_2dp
 
 
 class AlignmentMismatch(MedlatinError):
@@ -47,22 +42,6 @@ class EvalReport:
         return self.token_count - sum(1 for m in self.mismatches if m.field == field)
 
 
-def accuracy_percent(matches: int, total: int) -> Decimal:
-    if total == 0:
-        return Decimal("0.00")
-    return (Decimal(100 * matches) / Decimal(total)).quantize(_TWO_DP, rounding=ROUND_HALF_UP)
-
-
-def _field_value(token, field: str) -> str:
-    if field == "upos":
-        return token.upos
-    if field == "ufeats":
-        return token.feats_string()
-    if field == "lemma":
-        return token.lemma.lower()
-    raise ValueError(f"unknown field {field!r}")
-
-
 def check_alignment(gold: Document, predicted: Document) -> None:
     if len(gold.sentences) != len(predicted.sentences):
         raise AlignmentMismatch(
@@ -81,30 +60,28 @@ def check_alignment(gold: Document, predicted: Document) -> None:
 
 
 def evaluate(gold: Document, predicted: Document,
-             fields: tuple[str, ...] = FIELDS) -> EvalReport:
-    """Exact-match accuracy per field over position-aligned documents."""
-    for f in fields:
-        if f not in FIELDS:
-            raise ValueError(f"unknown field {f!r}")
+             fields: tuple[str, ...] = tuple(TASKS)) -> EvalReport:
+    """Exact-match accuracy per field (a TASKS name) over position-aligned documents."""
+    readers = [(f, TASKS[f].read) for f in fields]
     check_alignment(gold, predicted)
     total = gold.token_count()
     matches = {f: 0 for f in fields}
     mismatches: list[Mismatch] = []
     for s_idx, (g_sent, p_sent) in enumerate(zip(gold.sentences, predicted.sentences)):
         for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
-            for f in fields:
-                g_val = _field_value(g_tok, f)
-                p_val = _field_value(p_tok, f)
+            for f, read in readers:
+                g_val = read(g_tok)
+                p_val = read(p_tok)
                 if g_val == p_val:
                     matches[f] += 1
                 else:
                     mismatches.append(Mismatch(s_idx, g_tok.id, f, g_val, p_val))
-    accuracy = {f: accuracy_percent(matches[f], total) for f in fields}
+    accuracy = {f: half_up_2dp(100 * matches[f], total) for f in fields}
     return EvalReport(accuracy, total, tuple(mismatches))
 
 
 def evaluate_by_genre(pairs: dict[str, tuple[Document, Document]],
-                      fields: tuple[str, ...] = FIELDS) -> dict[str, EvalReport]:
+                      fields: tuple[str, ...] = tuple(TASKS)) -> dict[str, EvalReport]:
     """Independent evaluate() per genre; no cross-genre pooling.
 
     Alignment errors are re-raised with the offending genre named.

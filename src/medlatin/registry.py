@@ -117,6 +117,9 @@ class Registry:
 
 
 def half_up_2dp(numerator: int | Decimal, denominator: int | Decimal) -> Decimal:
+    """numerator / denominator rounded half-up to 2 decimals; 0.00 for a zero denominator."""
+    if denominator == 0:
+        return Decimal("0.00")
     return (Decimal(numerator) / Decimal(denominator)).quantize(_TWO_DP, rounding=ROUND_HALF_UP)
 
 
@@ -124,11 +127,7 @@ def compute_stats(doc: Document) -> CorpusStats:
     """Token count, sentence count and 2-decimal average tokens per sentence."""
     tokens = doc.token_count()
     sentences = len(doc.sentences)
-    if sentences == 0:
-        avg = Decimal("0.00")
-    else:
-        avg = half_up_2dp(tokens, sentences)
-    return CorpusStats(tokens, sentences, avg)
+    return CorpusStats(tokens, sentences, half_up_2dp(tokens, sentences))
 
 
 def validate_stats(declared: CorpusStats, tolerance: Decimal | str | float = "0.05") -> StatsVerdict:
@@ -147,7 +146,7 @@ def validate_stats(declared: CorpusStats, tolerance: Decimal | str | float = "0.
         return StatsVerdict(abs(declared.avg_tokens_per_sentence) <= tol, Decimal("0.00"))
     exact = Decimal(declared.tokens) / Decimal(declared.sentences)
     consistent = abs(declared.avg_tokens_per_sentence - exact) <= tol
-    return StatsVerdict(consistent, exact.quantize(_TWO_DP, rounding=ROUND_HALF_UP))
+    return StatsVerdict(consistent, half_up_2dp(declared.tokens, declared.sentences))
 
 
 def make_cv_splits(genres: list[str],

@@ -34,13 +34,12 @@ from decimal import Decimal
 
 from . import lemmatizer as lemmatizer_mod
 from . import tagger as tagger_mod
-from .conllu import Document, concat_documents
+from .conllu import TASKS, Document, concat_documents
 from .errors import MedlatinError, write_file
 from .evaluation import evaluate
 from .registry import Registry, load_dataset, make_cv_splits, split_for_validation
 
 SCENARIO_KINDS = ("baseline", "ud_all", "ud_plus_specific", "ud_plus_efontes")
-TASK_ORDER = ("upos", "ufeats", "lemma")
 
 RESULTS_FORMAT = "#format=medlatin.results.v1"
 RESULTS_HEADER = "run_id\tscenario\tgenre\ttask\taccuracy"
@@ -53,15 +52,14 @@ class MissingDataset(MedlatinError):
 @dataclass(frozen=True)
 class Scenario:
     kind: str
-    tasks: tuple[str, ...] = TASK_ORDER
+    tasks: tuple[str, ...] = tuple(TASKS)
     ud_name: str | None = None  # restrict ud_plus_specific to one treebank
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        for t in self.tasks:
-            if t not in TASK_ORDER:
-                raise ValueError(f"unknown task {t!r}")
+        if not set(self.tasks) <= TASKS.keys():
+            raise ValueError(f"unknown task in {self.tasks!r}")
 
 
 @dataclass(frozen=True)
@@ -201,29 +199,17 @@ def materialize_corpus(registry: Registry, dataset_names: tuple[str, ...],
 
 
 def predict_document(model, task: str, gold: Document) -> Document:
-    """Copy of the gold document with the task's field replaced by predictions."""
+    """Copy of the gold document with the task's label replaced by predictions."""
+    spec = TASKS[task]
     new_sentences = []
     for sentence in gold.sentences:
-        if task in ("upos", "ufeats"):
-            tags = tagger_mod.tag(model, sentence)
-            new_tokens = []
-            for tok, label in zip(sentence.tokens, tags):
-                if task == "upos":
-                    new_tokens.append(dataclasses.replace(tok, upos=label))
-                else:
-                    feats = () if label == "_" else tuple(
-                        tuple(kv.split("=", 1)) for kv in label.split("|"))
-                    new_tokens.append(dataclasses.replace(tok, ufeats=feats))
+        if spec.tagger:
+            labels = tagger_mod.tag(model, sentence)
         else:
-            new_tokens = [
-                dataclasses.replace(
-                    tok,
-                    lemma=lemmatizer_mod.lemmatize(
-                        model, lemmatizer_mod.LemmaQuery(tok.form, tok.upos)),
-                )
-                for tok in sentence.tokens
-            ]
-        new_sentences.append(dataclasses.replace(sentence, tokens=tuple(new_tokens)))
+            labels = [lemmatizer_mod.lemmatize(model, lemmatizer_mod.LemmaQuery(tok.form, tok.upos))
+                      for tok in sentence.tokens]
+        new_tokens = tuple(map(spec.write, sentence.tokens, labels))
+        new_sentences.append(dataclasses.replace(sentence, tokens=new_tokens))
     return Document(tuple(new_sentences), gold.source_name)
 
 
@@ -235,12 +221,12 @@ def _train_stages(run: TrainingRun, registry: Registry, epochs: int,
         train_sents, _reserved = split_for_validation(corpus.sentences, validation_fraction)
         train_doc = Document(train_sents, corpus.source_name)
         stage_epochs = epochs if run.stage_epochs is None else run.stage_epochs[stage_index]
-        if run.task == "lemma":
-            model = lemmatizer_mod.train_lemmatizer(train_doc, base=model, datasets=stage)
-        else:
+        if TASKS[run.task].tagger:
             model = tagger_mod.train(
                 train_doc, run.task, epochs=stage_epochs, base=model,
                 seed=derive_seed(base_seed, run.run_id, stage_index), datasets=stage)
+        else:
+            model = lemmatizer_mod.train_lemmatizer(train_doc, base=model, datasets=stage)
     return model
 
 
@@ -284,13 +270,10 @@ def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None
         all_rows.extend(rows)
         if output_dir is not None:
             path = os.path.join(models_dir, f"{run.run_id}.json")
-            if run.task == "lemma":
-                lemmatizer_mod.save_model(model, path)
-            else:
-                tagger_mod.save_model(model, path)
+            (tagger_mod if TASKS[run.task].tagger else lemmatizer_mod).save_model(model, path)
     if output_dir is not None:
         merge_results_file(os.path.join(output_dir, "results.tsv"), all_rows)
-    return {(r.scenario, r.genre, r.task): r.accuracy for r in all_rows}
+    return grid_from_rows(all_rows)
 
 
 def write_results_file(path: str, rows: list[ResultRow]) -> None:
@@ -372,8 +355,7 @@ def render_comparison(report: ComparisonReport) -> str:
     columns = sorted({(e.genre, e.task) for e in report.entries})
     scenarios = sorted({e.scenario for e in report.entries})
     cell = {(e.scenario, e.genre, e.task): e for e in report.entries}
-    headers = ["scenario"] + [f"{g}/{t}" for g, t in columns]
-    lines = [headers]
+    lines = [["scenario"] + [f"{g}/{t}" for g, t in columns]]
     for scenario in scenarios:
         row = [scenario]
         for g, t in columns:
@@ -384,8 +366,14 @@ def render_comparison(report: ComparisonReport) -> str:
                 mark = "*" if e.is_best else ("!" if e.is_worst else "")
                 row.append(f"{e.accuracy}{mark}")
         lines.append(row)
-    widths = [max(len(line[i]) for line in lines) for i in range(len(headers))]
-    out = []
-    for line in lines:
-        out.append("  ".join(val.ljust(widths[i]) for i, val in enumerate(line)).rstrip())
-    return "\n".join(out) + "\n"
+    return aligned_text(lines)
+
+
+def aligned_text(rows: list[list[str]]) -> str:
+    """Rows of cells (a header row first) as text columns two spaces apart,
+    each line right-stripped."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(val.ljust(widths[i]) for i, val in enumerate(row)).rstrip()
+        for row in rows
+    ) + "\n"

@@ -4,9 +4,8 @@ The model is an averaged perceptron over sparse binary features with greedy
 left-to-right decoding: CPU-trainable in seconds, fully deterministic, and
 honoring the contracts the training scenarios need: staged initialization
 from a base model, a closed tagset read from the training corpus, one tag
-per token.  UFeats are treated as a single composite label ("Case=Nom|
-Number=Sing" with keys sorted, "_" when empty), not per-feature
-classification.
+per token.  UFeats are treated as a single composite label (conllu.TASKS
+reads "Case=Nom|Number=Sing", or "_"), not per-feature classification.
 
 Training uses teacher forcing for the previous-tag feature (gold previous
 tag); decoding feeds back the predicted tag.  Ties in scoring break toward
@@ -40,11 +39,9 @@ import random
 from dataclasses import dataclass, field
 from math import isfinite
 
-from .conllu import Sentence
+from .conllu import TASKS, Sentence
 from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_entries, json_row,
                      read_model_file, write_model_file)
-
-TASKS = ("upos", "ufeats")
 
 BOUNDARY = "<s>"
 END_BOUNDARY = "</s>"
@@ -82,12 +79,6 @@ class TaggerModel:
     weights: dict[int, dict[int, float]]
     provenance: tuple[TrainingStage, ...] = ()
     config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_FINETUNE_CONFIG))
-
-
-def gold_label(token, task: str) -> str:
-    if task == "upos":
-        return token.upos
-    return token.feats_string()
 
 
 def extract_features(sentence: Sentence, index: int, prev_tag: str = BOUNDARY) -> tuple[str, ...]:
@@ -151,8 +142,8 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     training continues rather than restarts.  epochs=0 performs no updates:
     the result predicts exactly like the base (or like a zero-weight model).
     """
-    if task not in TASKS:
-        raise TaskMismatch(f"unknown task {task!r}")
+    if task not in TASKS or not TASKS[task].tagger:
+        raise TaskMismatch(f"unknown tagger task {task!r}")
     if base is not None and base.task != task:
         raise TaskMismatch(f"base model is for {base.task!r}, requested {task!r}")
     if not corpus.sentences:
@@ -167,7 +158,7 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     else:
         tagset, vocab, w = [], {}, {}
     sentences = corpus.sentences
-    labels = [[gold_label(t, task) for t in s.tokens] for s in sentences]
+    labels = [list(map(TASKS[task].read, s.tokens)) for s in sentences]
     known = set(tagset)
     for label in sorted({label for sentence_labels in labels for label in sentence_labels}):
         if label not in known:
@@ -282,9 +273,11 @@ MODEL_SCHEMA = {"task": str, "tagset": list, "feature_vocabulary": dict, "weight
 def load_model(path: str) -> TaggerModel:
     """Read a model file; a malformed one raises MedlatinError naming the path.
 
-    Every weight row must name a feature id from the vocabulary, a tag
-    index inside the tagset, because scoring indexes the tagset by it, and
-    a finite int or float weight, because save_model writes float.__repr__.
+    Every tagset label must be one the task can hold (conllu.TASKS), because
+    tagging writes it into a CoNLL-U column.  Every weight row must name a
+    feature id from the vocabulary, a tag index inside the tagset, because
+    scoring indexes the tagset by it, and a finite int or float weight,
+    because save_model writes float.__repr__.
     """
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
 
@@ -299,11 +292,13 @@ def _finite_weight(f: int, t: int, w) -> float:
 
 def _model_from_payload(payload: dict) -> TaggerModel:
     task = payload["task"]
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
+    if task not in TASKS or not TASKS[task].tagger:
+        raise ValueError(f"unknown tagger task {task!r}")
     tagset = tuple(payload["tagset"])
     if not tagset or not all(isinstance(t, str) for t in tagset):
         raise ValueError("tagset must be a non-empty list of strings")
+    for label in tagset:
+        TASKS[task].parse(label)
     vocab = {k: int(v) for k, v in payload["feature_vocabulary"].items()}
     known_ids = set(vocab.values())
     n_tags = len(tagset)

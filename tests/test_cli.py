@@ -127,8 +127,7 @@ def test_normalize_cli(tmp_path, capsys):
         "2\tgracia\tgracia\tNOUN\t_\t_\t_\t_\t_\t_\n"
         "\n", encoding="utf-8")
     out = tmp_path / "out.conllu"
-    assert run_cli(["normalize", "--in", str(src), "--field", "lemma",
-                    "--out", str(out)]) == 0
+    assert run_cli(["normalize", "--in", str(src), "--out", str(out)]) == 0
     doc = parse_conllu(out.read_text(encoding="utf-8"))
     lemmas = [t.lemma for s in doc.sentences for t in s.tokens]
     forms = [t.form for s in doc.sentences for t in s.tokens]
@@ -172,6 +171,22 @@ def test_tagger_tag_rejects_out_of_range_tag_index(tmp_path, capsys):
                     "--out", str(tmp_path / "tagged.conllu")]) == 1
     err = capsys.readouterr().err
     assert "MedlatinError" in err and str(model) in err and "outside the tagset" in err
+
+
+@pytest.mark.parametrize("task, label", [("upos", "BOGUS\tX"), ("ufeats", "Case")])
+def test_tagger_tag_rejects_label_its_task_cannot_hold(tmp_path, capsys, task, label):
+    model = tmp_path / "tagger.json"
+    assert run_cli(["tagger", "train", "--task", task, "--in", TOY_CORPUS,
+                    "--out", str(model), "--epochs", "1"]) == 0
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["tagset"][-1] = label
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    tagged = tmp_path / "tagged.conllu"
+    assert run_cli(["tagger", "tag", "--model", str(model), "--in", TOY_CORPUS,
+                    "--out", str(tagged)]) == 1
+    err = capsys.readouterr().err
+    assert "MedlatinError" in err and str(model) in err and repr(label) in err
+    assert not tagged.exists()
 
 
 def test_lemmatize_train_and_run_wire_format(tmp_path, capsys):
@@ -224,6 +239,42 @@ def test_scenario_compare_rejects_short_results_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "results.tsv:3: expected 5 tab-separated fields, got 3" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["scenario", "plan", "--scenario", "ud_all", "--tasks", "upos,bogus"], None),
+    (["scenario", "run", "--scenario", "ud_all", "--tasks", "upos,bogus", "--out", "OUT"], None),
+    (["scenario", "plan", "--scenario", "ud_all", "--tasks", "upos,upos"], None),
+    (["scenario", "run", "--scenario", "ud_all", "--tasks", "lemma,lemma", "--out", "OUT"], None),
+    (["scenario", "plan", "--scenario", "ud_all"], "tasks = upos,bogus\n"),
+    (["eval", "--gold", "GOLD", "--pred", "GOLD", "--fields", "upos,bogus"], None),
+    (["eval", "--gold", "GOLD", "--pred", "GOLD", "--fields", "upos,upos"], None),
+    (["analyze", "--gold", "GOLD", "--pred", "GOLD", "--report", "genres",
+      "--field", "bogus"], None),
+], ids=["plan-unknown", "run-unknown", "plan-repeated", "run-repeated", "config-unknown",
+        "eval-unknown", "eval-repeated", "analyze-unknown"])
+def test_bad_task_names_are_usage_errors(tmp_path, capsys, argv, config):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(GOLD, encoding="utf-8")
+    cfg = tmp_path / "medlatin.cfg"
+    cfg.write_text(f"registry = {MINI_REGISTRY}\n" + (config or ""), encoding="utf-8")
+    paths = {"GOLD": str(gold), "OUT": str(tmp_path / "out")}
+    assert run_cli(["--config", str(cfg)] + [paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "'upos', 'ufeats', 'lemma'" in err or "upos, ufeats, lemma" in err
+    assert not (tmp_path / "out" / "results.tsv").exists()
+
+
+def test_analyze_genres_misaligned_pair_names_genre(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    pred = tmp_path / "pred.conllu"
+    gold.write_text(GOLD, encoding="utf-8")
+    pred.write_text(MISALIGNED, encoding="utf-8")
+    assert run_cli(["analyze", "--gold", str(gold), "--pred", str(gold),
+                    "--gold", str(gold), "--pred", str(pred),
+                    "--genre", "Annals", "--genre", "Science", "--report", "genres"]) == 1
+    err = capsys.readouterr().err
+    assert "AlignmentMismatch: genre 'Science': sentence 0: 2 gold vs 1 predicted tokens" in err
 
 
 def test_analyze_confusions_cli(tmp_path, capsys):

@@ -1,16 +1,19 @@
 import dataclasses
 import os
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
-from medlatin.conllu import serialize
+from medlatin import lemmatizer, tagger
+from medlatin.conllu import Document, serialize
 from medlatin.errors import MedlatinError
-from medlatin.registry import load_registry, reference_registry
+from medlatin.evaluation import EvalReport, Mismatch, check_alignment, evaluate
+from medlatin.registry import load_dataset, load_registry, reference_registry
 from medlatin.scenarios import (MissingDataset, ResultRow,
                                 RunPlan, Scenario, TrainingRun, compare,
                                 derive_seed, execute, grid_from_rows,
-                                merge_results_file, plan, read_results_file,
+                                materialize_corpus, merge_results_file, plan,
+                                predict_document, read_results_file,
                                 render_comparison, write_results_file)
 from medlatin.tagger import load_model as load_tagger_model
 
@@ -241,3 +244,78 @@ def test_scenario_rejects_unknown_kind_and_task():
         Scenario("mystery")
     with pytest.raises(ValueError):
         Scenario("baseline", tasks=("deps",))
+
+
+def reference_predict_document(model, task, gold):
+    """predict_document as it was before the task table, kept as the reference."""
+    new_sentences = []
+    for sentence in gold.sentences:
+        if task in ("upos", "ufeats"):
+            tags = tagger.tag(model, sentence)
+            new_tokens = []
+            for tok, label in zip(sentence.tokens, tags):
+                if task == "upos":
+                    new_tokens.append(dataclasses.replace(tok, upos=label))
+                else:
+                    feats = () if label == "_" else tuple(
+                        tuple(kv.split("=", 1)) for kv in label.split("|"))
+                    new_tokens.append(dataclasses.replace(tok, ufeats=feats))
+        else:
+            new_tokens = [
+                dataclasses.replace(
+                    tok, lemma=lemmatizer.lemmatize(model, lemmatizer.LemmaQuery(tok.form, tok.upos)))
+                for tok in sentence.tokens
+            ]
+        new_sentences.append(dataclasses.replace(sentence, tokens=tuple(new_tokens)))
+    return Document(tuple(new_sentences), gold.source_name)
+
+
+def reference_field_value(token, field):
+    if field == "upos":
+        return token.upos
+    if field == "ufeats":
+        return token.feats_string()
+    if field == "lemma":
+        return token.lemma.lower()
+    raise ValueError(f"unknown field {field!r}")
+
+
+def reference_evaluate(gold, predicted, fields=("upos", "ufeats", "lemma")):
+    """evaluate as it was before the task table, kept as the reference."""
+    check_alignment(gold, predicted)
+    total = gold.token_count()
+    matches = {f: 0 for f in fields}
+    mismatches = []
+    for s_idx, (g_sent, p_sent) in enumerate(zip(gold.sentences, predicted.sentences)):
+        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
+            for f in fields:
+                g_val = reference_field_value(g_tok, f)
+                p_val = reference_field_value(p_tok, f)
+                if g_val == p_val:
+                    matches[f] += 1
+                else:
+                    mismatches.append(Mismatch(s_idx, g_tok.id, f, g_val, p_val))
+    accuracy = {f: (Decimal(100 * matches[f]) / Decimal(total)).quantize(
+        Decimal("0.01"), rounding=ROUND_HALF_UP) for f in fields}
+    return EvalReport(accuracy, total, tuple(mismatches))
+
+
+@pytest.mark.parametrize("task", ["upos", "ufeats", "lemma"])
+def test_predict_and_evaluate_match_reference(mini_registry, task):
+    corpus = materialize_corpus(mini_registry, tuple(mini_registry.ud_treebanks()))
+    if task == "lemma":
+        model = lemmatizer.train_lemmatizer(corpus)
+    else:
+        model = tagger.train(corpus, task, epochs=2, seed=0)
+    errors = 0
+    for name in mini_registry.genres():
+        gold = load_dataset(mini_registry, name)
+        predicted = predict_document(model, task, gold)
+        expected = reference_predict_document(model, task, gold)
+        assert predicted == expected
+        assert serialize(predicted) == serialize(expected)
+        for fields in (("upos", "ufeats", "lemma"), (task,)):
+            report = evaluate(gold, predicted, fields)
+            assert report == reference_evaluate(gold, predicted, fields)
+        errors += len(report.mismatches)
+    assert errors  # the models are not perfect, so labels were really written

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from medlatin.conllu import TASKS
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.registry import load_dataset, load_registry
 from medlatin.tagger import (BOUNDARY, END_BOUNDARY, MODEL_FORMAT, REFERENCE_FINETUNE_CONFIG,
                              IndexOutOfRange, TaggerModel, TaskMismatch, TrainingStage,
-                             _best_index, extract_features, gold_label, load_model,
+                             _best_index, extract_features, load_model,
                              save_model, tag, train)
 
 from conftest import MINI_REGISTRY, sent, simple_doc, tok
@@ -238,7 +239,8 @@ def flat_train(corpus, task, epochs, base=None, seed=0):
         tagset, vocab, w = list(base.tagset), dict(base.feature_vocabulary), dict(base.weights)
     else:
         tagset, vocab, w = [], {}, {}
-    for label in sorted({gold_label(t, task) for s in corpus.sentences for t in s.tokens}):
+    read = TASKS[task].read
+    for label in sorted({read(t) for s in corpus.sentences for t in s.tokens}):
         if label not in tagset:
             tagset.append(label)
     tagset_t = tuple(tagset)
@@ -259,7 +261,7 @@ def flat_train(corpus, task, epochs, base=None, seed=0):
             prev = BOUNDARY
             for i in range(len(sentence.tokens)):
                 ids = [vocab.setdefault(f, len(vocab)) for f in extract_features(sentence, i, prev)]
-                gold = gold_label(sentence.tokens[i], task)
+                gold = read(sentence.tokens[i])
                 pred = flat_best_tag(tagset_t, w, ids)
                 if pred != gold:
                     for f_id in ids:
@@ -374,6 +376,11 @@ def _set(key, value):
     return lambda payload: payload.__setitem__(key, value)
 
 
+def _set_label(label):
+    """Replace the last tagset label, so every weight row stays in range."""
+    return lambda payload: payload["tagset"].__setitem__(-1, label)
+
+
 def _set_weights(row):
     """row(payload) -> one weight row that breaks the model."""
     return lambda payload: payload.__setitem__("weights", [row(payload)])
@@ -387,6 +394,9 @@ MALFORMED = {
     "vocabulary-is-list": _set("feature_vocabulary", []),
     "empty-tagset": _set("tagset", []),
     "unknown-task": _set("task", "deps"),
+    "lemma-task": _set("task", "lemma"),
+    "upos-label-not-a-tag": _set_label("BOGUS\tX"),
+    "upos-label-lowercase": _set_label("noun"),
     "stage-missing-epochs": _set("provenance", [{"datasets": [], "was_continued": False}]),
     "short-weight-row": _set_weights(lambda payload: [0, 0]),
     "tag-index-past-end": _set_weights(lambda payload: [0, len(payload["tagset"]), 1.0]),
@@ -400,11 +410,18 @@ MALFORMED = {
     "boolean-weight": _set_weights(lambda payload: [0, 0, True]),
     "null-weight": _set_weights(lambda payload: [0, 0, None]),
     "overflowing-int-weight": _set_weights(lambda payload: [0, 0, 10 ** 400]),
+    # Cases named ufeats-* edit a ufeats model, the others a upos model.
+    "ufeats-label-not-key-value": _set_label("Case"),
+    "ufeats-label-empty-value": _set_label("Case="),
+    "ufeats-label-duplicate-key": _set_label("Case=Nom|Case=Acc"),
+    "ufeats-label-unsorted": _set_label("Number=Sing|Case=Nom"),
+    "ufeats-label-with-tab": _set_label("Case=Nom\tX"),
+    "ufeats-label-empty": _set_label(""),
 }
 
 
-def write_malformed(path, corpus, edit):
-    save_model(train(corpus, "upos", epochs=1, seed=0), str(path))
+def write_edited(path, corpus, edit, task="upos"):
+    save_model(train(corpus, task, epochs=1, seed=0), str(path))
     payload = json.loads(path.read_text(encoding="utf-8"))
     edit(payload)
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -413,9 +430,19 @@ def write_malformed(path, corpus, edit):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_load_model_rejects_malformed_file(tmp_path, toy_corpus, case):
     path = tmp_path / "tagger.json"
-    write_malformed(path, toy_corpus, MALFORMED[case])
+    task = "ufeats" if case.startswith("ufeats-") else "upos"
+    write_edited(path, toy_corpus, MALFORMED[case], task)
     with pytest.raises(MedlatinError, match="tagger.json"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("task, label", [("upos", "_"), ("upos", "SYM"), ("ufeats", "_"),
+                                         ("ufeats", "Mood=Ind|VerbForm=Fin"),
+                                         ("ufeats", "Foreign=Yes|Typo=A=B")])
+def test_load_model_accepts_labels_its_task_can_hold(tmp_path, toy_corpus, task, label):
+    path = tmp_path / "tagger.json"
+    write_edited(path, toy_corpus, _set_label(label), task)
+    assert load_model(str(path)).tagset[-1] == label
 
 
 def test_load_model_rejects_truncated_file(tmp_path, toy_corpus):
