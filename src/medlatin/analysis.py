@@ -18,6 +18,7 @@ and the mined table must be reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .conllu import TASKS, Document
 from .errors import MedlatinError
@@ -99,57 +100,25 @@ def alignment_cost(ops: list[AlignmentOp]) -> int:
 
 
 def extract_patterns(gold: str, pred: str) -> list[tuple[str, str]]:
-    """Collapse each maximal run of non-match ops into one (pattern, position) pair."""
+    """Collapse each maximal run of non-match ops into one (pattern, position) pair.
+
+    A run spans gold[start:end] (start == end for a pure insertion): it is
+    initial if start is 0, else final if end is len(gold), else middle.
+    """
     if gold == pred:
         raise IdenticalStrings(f"{gold!r} equals its prediction")
-    ops = align_chars(gold, pred)
     patterns: list[tuple[str, str]] = []
-    gi = 0  # index of the next gold character
-    run_gold: list[str] = []
-    run_pred: list[str] = []
-    run_start = run_end = 0  # gold index span covered by the current run
-    run_open = False
-
-    def close_run() -> None:
-        nonlocal run_open, run_gold, run_pred
-        if not run_open:
-            return
-        if run_gold:
-            if run_start == 0:
-                position = "initial"
-            elif run_end == len(gold):
-                position = "final"
-            else:
-                position = "middle"
-        else:
-            # pure insertion: anchored at the gap before gold index run_start
-            if run_start == 0:
-                position = "initial"
-            elif run_start == len(gold):
-                position = "final"
-            else:
-                position = "middle"
-        patterns.append((f"{''.join(run_gold)}:{''.join(run_pred)}", position))
-        run_open = False
-        run_gold = []
-        run_pred = []
-
-    for op in ops:
-        if op.op == MATCH:
-            close_run()
-            gi += 1
+    start = 0  # gold index where the next run of ops starts
+    for is_match, run in groupby(align_chars(gold, pred), key=lambda op: op.op == MATCH):
+        run = list(run)
+        if is_match:
+            start += len(run)
             continue
-        if not run_open:
-            run_open = True
-            run_start = gi
-            run_end = gi
-        if op.op in (SUB, DEL):
-            run_gold.append(op.gold)
-            gi += 1
-            run_end = gi
-        if op.op in (SUB, INS):
-            run_pred.append(op.pred)
-    close_run()
+        run_gold = "".join([op.gold for op in run])
+        end = start + len(run_gold)
+        position = "initial" if start == 0 else "final" if end == len(gold) else "middle"
+        patterns.append((f"{run_gold}:{''.join([op.pred for op in run])}", position))
+        start = end
     return patterns
 
 

@@ -30,7 +30,7 @@ from . import lemmatizer as lemmatizer_mod
 from . import normalize as normalize_mod
 from . import scenarios as scenarios_mod
 from . import tagger as tagger_mod
-from .conllu import TASKS, Document, concat_documents, parse_conllu, serialize, validate
+from .conllu import TASKS, Document, concat_documents, read_conllu, serialize, validate
 from .errors import MedlatinError, write_file
 from .evaluation import evaluate, evaluate_by_genre
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
@@ -61,11 +61,6 @@ def load_config(path: str) -> dict[str, str]:
                 raise MedlatinError(f"{path} line {line_no}: unknown config key {key!r}")
             config[key] = value
     return config
-
-
-def _read_doc(path: str, drop_unsupported: bool = False) -> Document:
-    with open(path, encoding="utf-8") as fh:
-        return parse_conllu(fh.read(), source_name=path, drop_unsupported=drop_unsupported)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -103,7 +98,7 @@ def _registry_from_args(args) -> Registry:
 def cmd_corpus_stats(args) -> int:
     rows = []
     if args.infile:
-        doc = _read_doc(args.infile, args.drop_unsupported)
+        doc = read_conllu(args.infile, args.drop_unsupported)
         stats = compute_stats(doc)
         rows.append([args.infile, str(stats.tokens), str(stats.sentences),
                      str(stats.avg_tokens_per_sentence)])
@@ -145,7 +140,7 @@ def cmd_normalize(args) -> int:
             ruleset = normalize_mod.parse_ruleset(fh.read(), name=args.ruleset)
     else:
         ruleset = normalize_mod.default_gold_ruleset()
-    doc = _read_doc(args.infile, args.drop_unsupported)
+    doc = read_conllu(args.infile, args.drop_unsupported)
     new_sentences = []
     for sentence in doc.sentences:
         new_tokens = tuple(
@@ -161,7 +156,7 @@ def cmd_normalize(args) -> int:
 # ---------------------------------------------------------------- tagger
 
 def _read_corpus(paths: list[str], drop_unsupported: bool) -> Document:
-    return concat_documents([_read_doc(p, drop_unsupported) for p in paths], "+".join(paths))
+    return concat_documents([read_conllu(p, drop_unsupported) for p in paths], "+".join(paths))
 
 
 def cmd_tagger_train(args) -> int:
@@ -177,7 +172,7 @@ def cmd_tagger_train(args) -> int:
 
 def cmd_tagger_tag(args) -> int:
     model = tagger_mod.load_model(args.model)
-    doc = _read_doc(args.infile, args.drop_unsupported)
+    doc = read_conllu(args.infile, args.drop_unsupported)
     predicted = scenarios_mod.predict_document(model, model.task, doc)
     _write_text(args.out, serialize(predicted))
     return 0
@@ -252,7 +247,6 @@ def cmd_scenario_run(args) -> int:
     out_dir = args.out or args.output_dir
     if out_dir is None:
         raise MedlatinError("scenario run needs an output directory (--out or config output_dir)")
-    os.makedirs(out_dir, exist_ok=True)
     grid: dict = {}
     for scenario in _scenarios_from_args(args):
         run_plan = scenarios_mod.plan(scenario, registry, args.validation_fraction)
@@ -288,8 +282,8 @@ def cmd_scenario_compare(args) -> int:
 
 def cmd_eval(args) -> int:
     fields = _task_names(args.fields, "--fields")
-    gold = _read_doc(args.gold, args.drop_unsupported)
-    predicted = _read_doc(args.pred, args.drop_unsupported)
+    gold = read_conllu(args.gold, args.drop_unsupported)
+    predicted = read_conllu(args.pred, args.drop_unsupported)
     report = evaluate(gold, predicted, fields)
     rows = [[f, str(report.accuracy[f]), str(report.matches(f)), str(report.token_count)]
             for f in fields]
@@ -309,8 +303,8 @@ def _genre_pairs(args) -> dict[str, tuple[Document, Document]]:
     pairs = {}
     for i, (g, p) in enumerate(zip(golds, preds)):
         label = genres[i] if genres else os.path.basename(g)
-        pairs[label] = (_read_doc(g, args.drop_unsupported),
-                        _read_doc(p, args.drop_unsupported))
+        pairs[label] = (read_conllu(g, args.drop_unsupported),
+                        read_conllu(p, args.drop_unsupported))
     return pairs
 
 
@@ -351,7 +345,7 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------ validation
 
 def cmd_corpus_check(args) -> int:
-    doc = _read_doc(args.infile, args.drop_unsupported)
+    doc = read_conllu(args.infile, args.drop_unsupported)
     violations = validate(doc)
     rows = [[str(v.sent_index), str(v.token_id), v.rule] for v in violations]
     _emit_table(args, "corpus.check", ["sentence", "token", "rule"], rows)
@@ -475,9 +469,17 @@ def _apply_config(args) -> None:
         if getattr(args, key, None) is None and key in config:
             setattr(args, key, config[key])
     if getattr(args, "seed", None) is None:
-        args.seed = int(config.get("seed", "0"))
+        args.seed = _config_int(config, "seed", path) if "seed" in config else 0
     if args.verbose == 0 and "verbosity" in config:
-        args.verbose = int(config["verbosity"])
+        args.verbose = _config_int(config, "verbosity", path)
+
+
+def _config_int(config: dict[str, str], key: str, path: str) -> int:
+    try:
+        return int(config[key])
+    except ValueError:
+        raise UsageError(f"{path}: config key {key!r} must be an integer, "
+                         f"not {config[key]!r}") from None
 
 
 def run_cli(argv: list[str]) -> int:

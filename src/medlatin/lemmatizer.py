@@ -28,6 +28,8 @@ generation setup this classifier stands in for; metadata only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 from .conllu import Document
 from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_array, json_row, json_string,
@@ -50,8 +52,7 @@ class ScriptIncompatible(MedlatinError):
     pass
 
 
-@dataclass(frozen=True)
-class LemmaQuery:
+class LemmaQuery(NamedTuple):
     form: str
     upos: str
 
@@ -59,13 +60,13 @@ class LemmaQuery:
         return f"{self.form}:{self.upos}"
 
 
-@dataclass(frozen=True)
-class EditScript:
+class EditScript(NamedTuple):
     """Positional transformation from an inflected form to its lemma.
 
     Applied in fixed order: strip/add prefix, strip/add suffix, then
     interior edits left to right (offsets are relative to the string after
-    the prefix/suffix steps).
+    the prefix/suffix steps).  A plain tuple of the five fields is equal
+    and hash-equal to the script, so either can key a counter.
     """
 
     strip_prefix_len: int = 0
@@ -73,10 +74,6 @@ class EditScript:
     strip_suffix_len: int = 0
     suffix_add: str = ""
     interior_edits: tuple[tuple[int, str, str], ...] = ()
-
-    def key(self) -> tuple:
-        return (self.strip_prefix_len, self.prefix_add, self.strip_suffix_len,
-                self.suffix_add, self.interior_edits)
 
     def is_identity(self) -> bool:
         return self == EditScript()
@@ -110,17 +107,16 @@ def derive_edit_script(form: str, lemma: str) -> EditScript:
 
 
 def apply_edit_script(script: EditScript, form: str) -> str:
-    """Apply a script to a form; raises ScriptIncompatible when it cannot apply."""
-    text = form
-    if script.strip_prefix_len > len(text):
-        raise ScriptIncompatible(
-            f"prefix strip {script.strip_prefix_len} exceeds length of {form!r}")
-    text = script.prefix_add + text[script.strip_prefix_len:]
-    if script.strip_suffix_len > len(text):
-        raise ScriptIncompatible(
-            f"suffix strip {script.strip_suffix_len} exceeds residue of {form!r}")
-    text = text[:len(text) - script.strip_suffix_len] + script.suffix_add
-    for offset, old, new in script.interior_edits:
+    """Apply a script, or a plain tuple of its five fields, to a form;
+    raises ScriptIncompatible when it cannot apply."""
+    strip_prefix_len, prefix_add, strip_suffix_len, suffix_add, interior_edits = script
+    if strip_prefix_len > len(form):
+        raise ScriptIncompatible(f"prefix strip {strip_prefix_len} exceeds length of {form!r}")
+    text = prefix_add + form[strip_prefix_len:]
+    if strip_suffix_len > len(text):
+        raise ScriptIncompatible(f"suffix strip {strip_suffix_len} exceeds residue of {form!r}")
+    text = text[:len(text) - strip_suffix_len] + suffix_add
+    for offset, old, new in interior_edits:
         if offset < 0 or offset + len(old) > len(text):
             raise ScriptIncompatible(
                 f"interior edit at {offset} falls outside residue {text!r}")
@@ -136,22 +132,21 @@ class LemmatizerModel:
     """Lexicon and suffix-script counts; immutable after training.
 
     lexicon maps (form, upos) -> {lemma: count}; scripts maps
-    (suffix, upos) -> {script key tuple: count}.  pooled is derived from
-    scripts when the model is built and ignored by equality: suffix ->
-    {script key tuple: count summed over every UPOS}, the counts cascade
-    step 4 ranks.
+    (suffix, upos) -> {script: count}.  pooled is derived from scripts
+    when the model is built and ignored by equality: suffix -> {script:
+    count summed over every UPOS}, the counts cascade step 4 ranks.
     """
 
     lexicon: dict[tuple[str, str], dict[str, int]]
-    scripts: dict[tuple[str, str], dict[tuple, int]]
+    scripts: dict[tuple[str, str], dict[EditScript, int]]
     provenance: tuple = ()
     config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_SEQ2SEQ_CONFIG))
-    pooled: dict[str, dict[tuple, int]] = field(init=False, repr=False, compare=False)
+    pooled: dict[str, dict[EditScript, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Most suffixes occur with one UPOS: they share that counter with
         # scripts, and a copy is made only when a second UPOS adds to it.
-        pooled: dict[str, dict[tuple, int]] = {}
+        pooled: dict[str, dict[EditScript, int]] = {}
         copied: set[str] = set()
         for (suffix, _upos), counter in self.scripts.items():
             bucket = pooled.setdefault(suffix, counter)
@@ -160,8 +155,8 @@ class LemmatizerModel:
             if suffix not in copied:
                 bucket = pooled[suffix] = dict(bucket)
                 copied.add(suffix)
-            for script_key, count in counter.items():
-                bucket[script_key] = bucket.get(script_key, 0) + count
+            for script, count in counter.items():
+                bucket[script] = bucket.get(script, 0) + count
         object.__setattr__(self, "pooled", pooled)
 
 
@@ -185,7 +180,7 @@ def train_lemmatizer(corpus: Document, base: LemmatizerModel | None = None,
     if not corpus.sentences and base is None:
         raise EmptyCorpus(f"cannot train lemmatizer on empty corpus {corpus.source_name!r}")
     lexicon: dict[tuple[str, str], dict[str, int]] = {}
-    scripts: dict[tuple[str, str], dict[tuple, int]] = {}
+    scripts: dict[tuple[str, str], dict[EditScript, int]] = {}
     if base is not None:
         _merge_counts(lexicon, base.lexicon)
         _merge_counts(scripts, base.scripts)
@@ -197,10 +192,10 @@ def train_lemmatizer(corpus: Document, base: LemmatizerModel | None = None,
             lemma = token.lemma.lower()
             bucket = lexicon.setdefault((form, token.upos), {})
             bucket[lemma] = bucket.get(lemma, 0) + 1
-            script_key = derive_edit_script(form, lemma).key()
+            script = derive_edit_script(form, lemma)
             for n in range(1, min(MAX_SUFFIX_KEY, len(form)) + 1):
                 suffix_bucket = scripts.setdefault((form[-n:], token.upos), {})
-                suffix_bucket[script_key] = suffix_bucket.get(script_key, 0) + 1
+                suffix_bucket[script] = suffix_bucket.get(script, 0) + 1
     stage = {
         "datasets": list(datasets) if datasets is not None else [corpus.source_name],
         "was_continued": base is not None,
@@ -209,38 +204,26 @@ def train_lemmatizer(corpus: Document, base: LemmatizerModel | None = None,
     return LemmatizerModel(lexicon, scripts, provenance, dict(REFERENCE_SEQ2SEQ_CONFIG))
 
 
-def _script_from_key(key: tuple) -> EditScript:
-    strip_p, add_p, strip_s, add_s, interior = key
-    return EditScript(strip_p, add_p, strip_s, add_s, tuple(tuple(e) for e in interior))
-
-
-def _top_script(counter: dict[tuple, int]) -> EditScript:
-    """Highest count wins; ties break on the script's serialization order."""
-    best_key = min(counter, key=lambda k: (-counter[k], k))
-    return _script_from_key(best_key)
+def _top(counter: dict):
+    """The counter's most frequent item; a tie goes to the smaller lemma or script."""
+    return min(counter, key=lambda item: (-counter[item], item))
 
 
 def lemmatize(model: LemmatizerModel, query: LemmaQuery) -> str:
     """Run the decision cascade; never fails (step 5 guarantees totality)."""
-    if query.upos == "SYM":
+    form, upos = query
+    if upos == "SYM":
         return "_"
-    form = query.form.lower()
-    entry = model.lexicon.get((form, query.upos))
+    form = form.lower()
+    entry = model.lexicon.get((form, upos))
     if entry:
-        return min(entry, key=lambda lemma: (-entry[lemma], lemma))
-    lengths = range(min(MAX_SUFFIX_KEY, len(form)), 0, -1)
-    for n in lengths:
-        counter = model.scripts.get((form[-n:], query.upos))
+        return _top(entry)
+    suffixes = [form[-n:] for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1)]
+    by_upos = (model.scripts.get((suffix, upos)) for suffix in suffixes)
+    for counter in chain(by_upos, map(model.pooled.get, suffixes)):
         if counter:
             try:
-                return apply_edit_script(_top_script(counter), form)
-            except ScriptIncompatible:
-                continue
-    for n in lengths:
-        counter = model.pooled.get(form[-n:])
-        if counter:
-            try:
-                return apply_edit_script(_top_script(counter), form)
+                return apply_edit_script(_top(counter), form)
             except ScriptIncompatible:
                 continue
     return form
@@ -260,7 +243,7 @@ def parse_wire_query(line: str) -> LemmaQuery:
 
 _COUNTS_ROW = json_row("%s", "%s", "%s")  # form or suffix, upos, [[item, count], ...]
 _ITEM_COUNT = json_row("%s", "%d")
-_SCRIPT = json_row("%d", "%s", "%d", "%s", "%s")  # the fields of EditScript.key()
+_SCRIPT = json_row("%d", "%s", "%d", "%s", "%s")  # the fields of EditScript
 _INTERIOR_EDIT = json_row("%d", "%s", "%s")
 
 
@@ -316,5 +299,11 @@ def _model_from_payload(payload: dict) -> LemmatizerModel:
                    tuple((int(o), old, new) for o, old, new in interior))
             counter[key] = int(count)
         scripts[(suffix, upos)] = counter
+    # str.join raises TypeError for a form, UPOS, lemma, suffix or script
+    # string that is not a str; each distinct script is checked once.
+    for table in (lexicon, lexicon.values(), scripts):
+        "".join(chain.from_iterable(table))
+    for _, add_p, _, add_s, interior in set().union(*scripts.values()):
+        "".join([add_p, add_s] + [text for _, old, new in interior for text in (old, new)])
     provenance = tuple(payload["provenance"])
     return LemmatizerModel(lexicon, scripts, provenance, payload["config_metadata"])

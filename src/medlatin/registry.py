@@ -27,10 +27,10 @@ import configparser
 import glob as globmod
 import os
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from importlib import resources
 
-from .conllu import Document, Sentence, concat_documents, parse_conllu
+from .conllu import Document, Sentence, concat_documents, read_conllu
 from .errors import MedlatinError
 
 UD_TREEBANK = "ud_treebank"
@@ -186,18 +186,7 @@ def load_dataset(registry: Registry, name: str, drop_unsupported: bool = False) 
     desc = registry.get(name)
     if not desc.paths:
         raise UnknownDataset(f"{name} (registered without paths)")
-    docs = []
-    for path in desc.paths:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise MedlatinError(f"cannot read {path}: {exc}") from exc
-        try:
-            docs.append(parse_conllu(text, source_name=path, drop_unsupported=drop_unsupported))
-        except MedlatinError as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
+    docs = [read_conllu(path, drop_unsupported) for path in desc.paths]
     doc = concat_documents(docs, source_name=name)
     return Document(doc.sentences, name, tuple(f"file:{p}" for p in desc.paths) + doc.provenance)
 
@@ -205,11 +194,12 @@ def load_dataset(registry: Registry, name: str, drop_unsupported: bool = False) 
 def load_registry(path: str) -> Registry:
     """Read a registry config file (format documented in the module docstring)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise RegistryConfigError(f"cannot read registry config {path!r}")
-    base_dir = os.path.dirname(os.path.abspath(path))
-    return _registry_from_parser(parser, base_dir, path)
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise RegistryConfigError(f"cannot read registry config {path!r}")
+        return _registry_from_parser(parser, os.path.dirname(os.path.abspath(path)), path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise RegistryConfigError(f"{path}: {exc}") from exc
 
 
 def _registry_from_parser(parser: configparser.ConfigParser, base_dir: str,
@@ -247,7 +237,7 @@ def _registry_from_parser(parser: configparser.ConfigParser, base_dir: str,
                     sentences=parser.getint(section, "sentences"),
                     avg_tokens_per_sentence=Decimal(parser.get(section, "avg")),
                 )
-            except (ValueError, configparser.NoOptionError) as exc:
+            except (ValueError, InvalidOperation, configparser.NoOptionError) as exc:
                 raise RegistryConfigError(
                     f"{origin}: dataset {name!r} has malformed declared stats: {exc}") from exc
         datasets.append(DatasetDescriptor(name, kind, tuple(paths), declared))

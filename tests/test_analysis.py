@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from medlatin.analysis import (IdenticalStrings, align_chars,
+from medlatin.analysis import (DEL, INS, MATCH, SUB, IdenticalStrings, align_chars,
                                alignment_cost, extract_patterns,
                                genre_distribution, lemma_error_pairs,
                                mine_confusions, pos_confusions)
@@ -90,6 +92,72 @@ def test_extract_patterns_positions_partition():
             continue
         for _pattern, position in extract_patterns(g, p):
             assert position in ("initial", "middle", "final")
+
+
+def old_extract_patterns(gold, pred):
+    """The closure state machine extract_patterns replaced, kept as the
+    reference it is tested against."""
+    if gold == pred:
+        raise IdenticalStrings(f"{gold!r} equals its prediction")
+    ops = align_chars(gold, pred)
+    patterns = []
+    gi = 0  # index of the next gold character
+    run_gold = []
+    run_pred = []
+    run_start = run_end = 0  # gold index span covered by the current run
+    run_open = False
+
+    def close_run():
+        nonlocal run_open, run_gold, run_pred
+        if not run_open:
+            return
+        if run_gold:
+            if run_start == 0:
+                position = "initial"
+            elif run_end == len(gold):
+                position = "final"
+            else:
+                position = "middle"
+        else:
+            # pure insertion: anchored at the gap before gold index run_start
+            if run_start == 0:
+                position = "initial"
+            elif run_start == len(gold):
+                position = "final"
+            else:
+                position = "middle"
+        patterns.append((f"{''.join(run_gold)}:{''.join(run_pred)}", position))
+        run_open = False
+        run_gold = []
+        run_pred = []
+
+    for op in ops:
+        if op.op == MATCH:
+            close_run()
+            gi += 1
+            continue
+        if not run_open:
+            run_open = True
+            run_start = gi
+            run_end = gi
+        if op.op in (SUB, DEL):
+            run_gold.append(op.gold)
+            gi += 1
+            run_end = gi
+        if op.op in (SUB, INS):
+            run_pred.append(op.pred)
+    close_run()
+    return patterns
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text("abuv", max_size=7), st.text("abuv", max_size=7))
+def test_extract_patterns_matches_old_state_machine(gold, pred):
+    if gold == pred:
+        with pytest.raises(IdenticalStrings):
+            extract_patterns(gold, pred)
+    else:
+        assert extract_patterns(gold, pred) == old_extract_patterns(gold, pred)
 
 
 def test_extract_patterns_identical_strings_error():

@@ -411,3 +411,69 @@ def test_out_is_replaced_only_when_complete(tmp_path, capsys, monkeypatch, comma
     assert run_cli(argv + ["--out", str(out)]) == 1
     assert out.read_text(encoding="utf-8") == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.conllu", "tagger.json"]
+
+
+def test_scenario_run_usage_error_creates_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert run_cli(["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
+                    "--tasks", "upos,bogus", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _lemma_model_with_int_lemma(tmp_path):
+    train_file = tmp_path / "train.conllu"
+    train_file.write_text("1\tterram\tterra\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    model = tmp_path / "lemma.json"
+    assert run_cli(["lemmatize", "train", "--in", str(train_file), "--out", str(model)]) == 0
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["lexicon"][0][2][0][0] = 7
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    return train_file, model
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_lemmatize_rejects_model_with_non_string_lemma(tmp_path, capsys, monkeypatch, command):
+    train_file, model = _lemma_model_with_int_lemma(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("terram:NOUN\n"))
+    argv = {"train": ["lemmatize", "train", "--in", str(train_file), "--base", str(model),
+                      "--out", str(tmp_path / "out.json")],
+            "run": ["lemmatize", "run", "--model", str(model)]}[command]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{model}: malformed model" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"1\tuideo\tuideo\tVERB\t_\t_\t_\t_\t_\t_\n\xff\n", "line 2: not UTF-8"),
+    (b"1\tuideo\n\n", "line 1: expected 10 tab-separated fields"),
+], ids=["not-utf8", "malformed-line"])
+def test_eval_input_errors_name_the_file(tmp_path, capsys, content, message):
+    gold = tmp_path / "gold.conllu"
+    pred = tmp_path / "pred.conllu"
+    gold.write_text(GOLD, encoding="utf-8")
+    pred.write_bytes(content)
+    assert run_cli(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+    err = capsys.readouterr().err
+    assert f"{pred}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    b"[dataset:A]\nkind = ud_treebank\n[dataset:A]\nkind = ud_treebank\n",
+    b"kind = ud_treebank\n",
+], ids=["duplicate-section", "no-section-header"])
+def test_malformed_registry_config_exits_1_naming_it(tmp_path, capsys, content):
+    cfg = tmp_path / "reg.cfg"
+    cfg.write_bytes(content)
+    assert run_cli(["corpus", "validate", "--registry", str(cfg)]) == 1
+    assert f"RegistryConfigError: {cfg}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["seed = abc", "verbosity = x"])
+def test_non_integer_config_value_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "medlatin.cfg"
+    cfg.write_text(f"registry = {MINI_REGISTRY}\n{line}\n", encoding="utf-8")
+    assert run_cli(["--config", str(cfg), "scenario", "plan", "--scenario", "ud_all"]) == 2
+    key, value = line.split(" = ")
+    assert f"{cfg}: config key {key!r} must be an integer, not {value!r}" in capsys.readouterr().err

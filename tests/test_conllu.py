@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from medlatin.conllu import (UPOS_TAGS, Document, InvalidUpos, MalformedLine,
                              NonConsecutiveIds, Sentence, Token,
                              UnsupportedToken, feats_from_string, parse_conllu,
-                             serialize, validate)
+                             read_conllu, serialize, validate)
 from medlatin.errors import MedlatinError
 
 from conftest import ROUNDTRIP_DIR, doc, sent, tok
@@ -357,3 +357,31 @@ def test_repeated_bad_feats_error_names_its_first_line():
     assert exc.value.line_no == 2
     assert (parse_outcome(parse_conllu, text, False)
             == parse_outcome(reference_parse_conllu, text, False))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_conllu_reads_like_a_text_mode_open(tmp_path, newline):
+    path = tmp_path / "x.conllu"
+    path.write_bytes(("\ufeff" + MINIMAL + MINIMAL).replace("\n", newline).encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        expected = parse_conllu(fh.read(), source_name=str(path))
+    got = read_conllu(str(path))
+    assert got == expected and got.source_name == str(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    (MINIMAL.encode("utf-8") + b"1\ta\xff\n", "line 4: not UTF-8"),
+    (b"\xff" + MINIMAL.encode("utf-8"), "line 1: not UTF-8"),
+    (MINIMAL.encode("utf-8") + b"1\tbad\n", "line 4: expected 10 tab-separated fields"),
+], ids=["not-utf8", "not-utf8-first-byte", "malformed-line"])
+def test_read_conllu_errors_name_path_and_line(tmp_path, content, message):
+    path = tmp_path / "x.conllu"
+    path.write_bytes(content)
+    with pytest.raises(MedlatinError, match=f"^{re.escape(str(path))}: {message}"):
+        read_conllu(str(path))
+
+
+def test_read_conllu_missing_file_names_path(tmp_path):
+    path = str(tmp_path / "absent.conllu")
+    with pytest.raises(MedlatinError, match=f"^{re.escape(path)}: cannot read"):
+        read_conllu(path)

@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import string
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 from medlatin.conllu import Document
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.lemmatizer import (MAX_SUFFIX_KEY, MODEL_FORMAT, EditScript, LemmaQuery,
-                                 ScriptIncompatible, _top_script, apply_edit_script,
-                                 derive_edit_script, lemmatize, load_model,
-                                 parse_wire_query, save_model, train_lemmatizer)
+                                 ScriptIncompatible, apply_edit_script, derive_edit_script,
+                                 lemmatize, load_model, parse_wire_query, save_model,
+                                 train_lemmatizer)
 from medlatin.registry import load_dataset, load_registry
 
 from conftest import MINI_REGISTRY, simple_doc
@@ -211,6 +213,18 @@ def test_model_file_roundtrip(tmp_path):
     (lambda payload: payload.__setitem__("config_metadata", []), "must be a dict"),
     (lambda payload: payload["lexicon"].append(["portam", "NOUN"]), "malformed model"),
     (lambda payload: payload["scripts"].append(["am", "NOUN", [[["x"], 1]]]), "malformed model"),
+    # A string that is not a str: a form, UPOS, lemma, suffix or script string.
+    (lambda payload: payload["lexicon"][0].__setitem__(0, 7), "malformed model"),
+    (lambda payload: payload["lexicon"][0].__setitem__(1, None), "malformed model"),
+    (lambda payload: payload["lexicon"][0][2][0].__setitem__(0, 7), "malformed model"),
+    (lambda payload: payload["scripts"][0].__setitem__(0, 7), "malformed model"),
+    (lambda payload: payload["scripts"][0].__setitem__(1, True), "malformed model"),
+    (lambda payload: payload["scripts"][0][2][0][0].__setitem__(1, 7), "malformed model"),
+    (lambda payload: payload["scripts"][-1][2][0][0].__setitem__(3, 7), "malformed model"),
+    (lambda payload: payload["scripts"].append(["am", "NOUN", [[[0, "", 0, "", [[1, "c", 7]]], 1]]]),
+     "malformed model"),
+    (lambda payload: payload["scripts"].append(["am", "NOUN", [[[0, "", 0, "", [[1, 7, "c"]]], 1]]]),
+     "malformed model"),
 ])
 def test_load_model_rejects_malformed_file(tmp_path, edit, message):
     path = tmp_path / "lemma.json"
@@ -229,8 +243,63 @@ def test_config_metadata_recorded():
         "output_sequence_length": 24, "learning_rate": 0.001}
 
 
-# The code the pooled suffix index and the model-file writer replaced, kept
-# as the reference they are tested against.
+# The code the one-loop cascade, the pooled suffix index and the model-file
+# writer replaced, kept as the reference they are tested against.
+
+def old_apply_edit_script(script, form):
+    text = form
+    if script.strip_prefix_len > len(text):
+        raise ScriptIncompatible(
+            f"prefix strip {script.strip_prefix_len} exceeds length of {form!r}")
+    text = script.prefix_add + text[script.strip_prefix_len:]
+    if script.strip_suffix_len > len(text):
+        raise ScriptIncompatible(
+            f"suffix strip {script.strip_suffix_len} exceeds residue of {form!r}")
+    text = text[:len(text) - script.strip_suffix_len] + script.suffix_add
+    for offset, old, new in script.interior_edits:
+        if offset < 0 or offset + len(old) > len(text):
+            raise ScriptIncompatible(
+                f"interior edit at {offset} falls outside residue {text!r}")
+        if text[offset:offset + len(old)] != old:
+            raise ScriptIncompatible(
+                f"interior edit expects {old!r} at {offset} in {text!r}")
+        text = text[:offset] + new + text[offset + len(old):]
+    return text
+
+
+def old_top_script(counter):
+    """Highest count wins; ties break on the script's serialization order."""
+    best_key = min(counter, key=lambda k: (-counter[k], k))
+    strip_p, add_p, strip_s, add_s, interior = best_key
+    return EditScript(strip_p, add_p, strip_s, add_s, tuple(tuple(e) for e in interior))
+
+
+def old_lemmatize(model, query):
+    """lemmatize with steps 3 and 4 as two loops, each ranking a counter of
+    script key tuples and rebuilding the winner as an EditScript."""
+    if query.upos == "SYM":
+        return "_"
+    form = query.form.lower()
+    entry = model.lexicon.get((form, query.upos))
+    if entry:
+        return min(entry, key=lambda lemma: (-entry[lemma], lemma))
+    lengths = range(min(MAX_SUFFIX_KEY, len(form)), 0, -1)
+    for n in lengths:
+        counter = model.scripts.get((form[-n:], query.upos))
+        if counter:
+            try:
+                return old_apply_edit_script(old_top_script(counter), form)
+            except ScriptIncompatible:
+                continue
+    for n in lengths:
+        counter = model.pooled.get(form[-n:])
+        if counter:
+            try:
+                return old_apply_edit_script(old_top_script(counter), form)
+            except ScriptIncompatible:
+                continue
+    return form
+
 
 def scan_lemmatize(model, query):
     """lemmatize with cascade step 4 pooling the counts by a scan over every
@@ -245,7 +314,7 @@ def scan_lemmatize(model, query):
         counter = model.scripts.get((form[-n:], query.upos))
         if counter:
             try:
-                return apply_edit_script(_top_script(counter), form)
+                return apply_edit_script(old_top_script(counter), form)
             except ScriptIncompatible:
                 continue
     for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1):
@@ -257,7 +326,7 @@ def scan_lemmatize(model, query):
                     pooled[script_key] = pooled.get(script_key, 0) + count
         if pooled:
             try:
-                return apply_edit_script(_top_script(pooled), form)
+                return apply_edit_script(old_top_script(pooled), form)
             except ScriptIncompatible:
                 continue
     return form
@@ -312,6 +381,54 @@ def queries(draw):
 @given(st.sampled_from(MINI_MODELS), queries())
 def test_pooled_index_matches_scan_reference(model, query):
     assert lemmatize(model, query) == scan_lemmatize(model, query)
+
+
+def _reloaded(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lemma.json")
+        save_model(model, path)
+        return load_model(path)
+
+
+def _script_key_types(model):
+    return {type(script) for counter in model.scripts.values() for script in counter}
+
+
+LOADED_MINI_MODELS = tuple(map(_reloaded, MINI_MODELS))
+
+
+def test_trained_models_key_by_edit_script_and_loaded_ones_by_plain_tuple():
+    for trained, loaded in zip(MINI_MODELS, LOADED_MINI_MODELS):
+        assert _script_key_types(trained) == {EditScript}
+        assert _script_key_types(loaded) == {tuple}
+        assert loaded == trained
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(MINI_MODELS + LOADED_MINI_MODELS), queries())
+def test_cascade_matches_old_cascade_on_mini_models(model, query):
+    assert lemmatize(model, query) == old_lemmatize(model, query)
+
+
+@st.composite
+def small_corpora(draw):
+    """Few letters and short words, so counts tie and scripts fail to apply."""
+    words = st.text("abu", min_size=1, max_size=5)
+    rows = draw(st.lists(st.tuples(words, words, st.sampled_from(("NOUN", "VERB", "SYM"))),
+                         min_size=1, max_size=12))
+    return simple_doc([rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_corpora(), st.lists(st.tuples(st.text("abu", min_size=1, max_size=7),
+                                           st.sampled_from(("NOUN", "VERB", "ADJ", "SYM"))),
+                                 min_size=1, max_size=20))
+def test_cascade_matches_old_cascade_on_trained_and_loaded_models(corpus, pairs):
+    trained = train_lemmatizer(corpus)
+    for model in (trained, _reloaded(trained)):
+        for form, upos in pairs:
+            query = LemmaQuery(form, upos)
+            assert lemmatize(model, query) == old_lemmatize(model, query)
 
 
 def test_pooled_step_answers_unseen_upos_like_the_scan():

@@ -167,3 +167,27 @@ def test_registry_config_rejects_unknown_kind(tmp_path):
     cfg.write_text("[dataset:X]\nkind = mystery\n", encoding="utf-8")
     with pytest.raises(RegistryConfigError):
         load_registry(str(cfg))
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[dataset:A]\nkind = ud_treebank\n[dataset:A]\nkind = ud_treebank\n", "already exists"),
+    (b"kind = ud_treebank\n", "no section headers"),
+    (b"[dataset:A]\nkind = ud_\xfftreebank\n", "can't decode byte 0xff"),
+    (b"[dataset:A]\nkind = ud_treebank\npaths = a%b\n", "'%' must be followed"),
+    (b"[dataset:A]\nkind = ud_treebank\ntokens = 3\nsentences = 1\navg = abc\n",
+     "malformed declared stats"),
+], ids=["duplicate-section", "no-section-header", "not-utf8", "bad-interpolation", "bad-avg"])
+def test_registry_config_errors_name_the_path(tmp_path, content, message):
+    cfg = tmp_path / "reg.cfg"
+    cfg.write_bytes(content)
+    with pytest.raises(RegistryConfigError, match=f"reg.cfg: .*{message}"):
+        load_registry(str(cfg))
+
+
+def test_load_dataset_decode_error_names_path_and_line(tmp_path):
+    (tmp_path / "bad.conllu").write_bytes(b"1\ta\ta\tNOUN\t_\t_\t_\t_\t_\t_\n\xfe\n")
+    cfg = tmp_path / "reg.cfg"
+    cfg.write_text("[dataset:Bad]\nkind = efontes_genre\npaths = bad.conllu\n",
+                   encoding="utf-8")
+    with pytest.raises(MedlatinError, match="bad.conllu: line 2: not UTF-8"):
+        load_dataset(load_registry(str(cfg)), "Bad")
