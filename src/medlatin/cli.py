@@ -23,6 +23,7 @@ import dataclasses
 import logging
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 
 from . import __version__
 from . import analysis as analysis_mod
@@ -31,7 +32,7 @@ from . import normalize as normalize_mod
 from . import scenarios as scenarios_mod
 from . import tagger as tagger_mod
 from .conllu import TASKS, Document, concat_documents, read_conllu, serialize, validate
-from .errors import MedlatinError, write_file
+from .errors import MedlatinError, read_text, write_file
 from .evaluation import evaluate, evaluate_by_genre
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
                        reference_registry, validate_registry)
@@ -49,18 +50,29 @@ class UsageError(Exception):
 
 def load_config(path: str) -> dict[str, str]:
     config = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise MedlatinError(f"{path} line {line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise MedlatinError(f"{path} line {line_no}: unknown config key {key!r}")
-            config[key] = value
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise MedlatinError(f"{path}: line {line_no}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise MedlatinError(f"{path}: line {line_no}: unknown config key {key!r}")
+        config[key] = value
     return config
+
+
+def _finite_decimal(text: str) -> Decimal:
+    """argparse type of --tolerance and --validation-fraction: any finite
+    decimal; the commands check the range themselves."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("NaN")
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite decimal")
+    return value
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -136,8 +148,7 @@ def cmd_corpus_validate(args) -> int:
 
 def cmd_normalize(args) -> int:
     if args.ruleset:
-        with open(args.ruleset, encoding="utf-8") as fh:
-            ruleset = normalize_mod.parse_ruleset(fh.read(), name=args.ruleset)
+        ruleset = normalize_mod.parse_ruleset(read_text(args.ruleset), name=args.ruleset)
     else:
         ruleset = normalize_mod.default_gold_ruleset()
     doc = read_conllu(args.infile, args.drop_unsupported)
@@ -191,17 +202,18 @@ def cmd_lemmatize_train(args) -> int:
 
 def cmd_lemmatize_run(args) -> int:
     model = lemmatizer_mod.load_model(args.model)
-    if args.infile:
-        with open(args.infile, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    else:
-        lines = sys.stdin.read().split("\n")
+    name = args.infile or "<stdin>"
+    text = read_text(args.infile) if args.infile else sys.stdin.read()
     out_lines = []
-    for line in lines:
+    for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
-        query = lemmatizer_mod.parse_wire_query(line)
+        try:
+            query = lemmatizer_mod.parse_wire_query(line)
+        except MedlatinError as exc:
+            exc.args = (f"{name}: line {line_no}: {exc}",)
+            raise
         out_lines.append(lemmatizer_mod.lemmatize(model, query))
     _write_text(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
     return 0
@@ -249,7 +261,7 @@ def cmd_scenario_run(args) -> int:
         raise MedlatinError("scenario run needs an output directory (--out or config output_dir)")
     grid: dict = {}
     for scenario in _scenarios_from_args(args):
-        run_plan = scenarios_mod.plan(scenario, registry, args.validation_fraction)
+        run_plan = scenarios_mod.plan(scenario, registry)
         log.info("executing %s: %d runs", scenario.kind, len(run_plan.runs))
         grid.update(scenarios_mod.execute(
             run_plan, registry, output_dir=out_dir, epochs=args.epochs,
@@ -378,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_corpus_stats)
     p = corpus_sub.add_parser("validate", help="check declared statistics for consistency")
     p.add_argument("--registry")
-    p.add_argument("--tolerance", default="0.05")
+    p.add_argument("--tolerance", type=_finite_decimal, default="0.05")
     p.set_defaults(func=cmd_corpus_validate)
     p = corpus_sub.add_parser("check", help="report data-model violations in a file")
     p.add_argument("--in", dest="infile", required=True)
@@ -432,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output directory (models/ and results.tsv)")
             p.add_argument("--epochs", type=int, default=5)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--validation-fraction", default="0.1")
+            p.add_argument("--validation-fraction", type=_finite_decimal, default="0.1")
         p.set_defaults(func=func)
     p = scenario_sub.add_parser("compare")
     p.add_argument("--results", required=True)

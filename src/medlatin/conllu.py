@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .errors import MedlatinError
+from .errors import MedlatinError, read_text
 
 UPOS_TAGS = frozenset({
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
@@ -255,16 +255,7 @@ def parse_conllu(text: str, source_name: str = "<string>",
 def read_conllu(path: str, drop_unsupported: bool = False) -> Document:
     """Read a UTF-8 CoNLL-U file and parse it; every error is a MedlatinError
     whose message starts with the path, and a decode error names its line."""
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    except OSError as exc:
-        raise MedlatinError(f"{path}: cannot read ({exc.strerror or exc})") from exc
-    except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise MedlatinError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from None
-    if "\r" in text:  # universal newlines, as a text-mode open() reads them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = read_text(path)
     try:
         return parse_conllu(text, source_name=path, drop_unsupported=drop_unsupported)
     except MedlatinError as exc:

@@ -1,5 +1,5 @@
-"""Shared exception base for the toolkit, and the model-file reader and
-writer.
+"""Shared exception base for the toolkit, the text-file reader, and the
+model-file reader and writer.
 
 Every domain error raised by a medlatin module derives from MedlatinError,
 so the CLI can surface the error-case name uniformly (exit code 1) while
@@ -33,6 +33,23 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
+def read_text(path: str) -> str:
+    """Read a UTF-8 text file with universal newlines.  An unreadable file
+    or a byte that is not UTF-8 raises a MedlatinError whose message starts
+    with the path; a decode error names its line."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except OSError as exc:
+        raise MedlatinError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise MedlatinError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from None
+    if "\r" in text:  # universal newlines, as a text-mode open() reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def read_model_file(path: str, model_format: str, schema: dict, build):
     """Read a JSON model file, check its top-level keys and build the model.
 
@@ -43,11 +60,10 @@ def read_model_file(path: str, model_format: str, schema: dict, build):
     Infinity included), a wrong format tag or a missing or mistyped
     top-level key.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh, parse_constant=_reject_constant)
-        except ValueError as exc:
-            raise MedlatinError(f"{path}: not a JSON file ({exc})") from exc
+    try:
+        payload = json.loads(read_text(path), parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise MedlatinError(f"{path}: not a JSON file ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != model_format:
         raise MedlatinError(f"{path}: not a {model_format} model file")
     for key, kind in schema.items():

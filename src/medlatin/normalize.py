@@ -68,32 +68,22 @@ class Ruleset:
         return None
 
 
-def _position_ok(position: str, start: int, end: int, length: int) -> bool:
-    if position == "anywhere":
-        return True
-    if position == "initial":
-        return start == 0
-    if position == "final":
-        return end == length
-    return start > 0 and end < length  # middle
-
-
 def _apply_one(rule: RewriteRule, word: str) -> str:
-    """Single left-to-right pass; replacements are never re-scanned by the same rule."""
+    """Replace every non-overlapping occurrence of the pattern, leftmost
+    first, that lies at the rule's position; replacements are never
+    re-scanned by the same rule."""
     if word in rule.exceptions:
         return word
-    pat = rule.pattern
-    n = len(word)
-    out = []
-    i = 0
-    while i < n:
-        if word.startswith(pat, i) and _position_ok(rule.position, i, i + len(pat), n):
-            out.append(rule.replacement)
-            i += len(pat)
-        else:
-            out.append(word[i])
-            i += 1
-    return "".join(out)
+    pat, rep, position = rule.pattern, rule.replacement, rule.position
+    if position == "anywhere":
+        return word.replace(pat, rep)
+    if position == "initial":
+        return rep + word[len(pat):] if word.startswith(pat) else word
+    if position == "final":
+        return word[:-len(pat)] + rep if word.endswith(pat) else word
+    if len(word) < 2:  # middle: neither the first nor the last character
+        return word
+    return word[0] + word[1:-1].replace(pat, rep) + word[-1]
 
 
 def apply_rules(ruleset: Ruleset, word: str) -> str:
@@ -138,13 +128,13 @@ def parse_ruleset(text: str, name: str = "<string>") -> Ruleset:
             fields.append("")  # empty exceptions field, trailing tab lost in transit
         if len(fields) != 5:
             raise RulesetFormatError(
-                f"{name} line {line_no}: expected 5 tab-separated fields, got {len(fields)}")
+                f"{name}: line {line_no}: expected 5 tab-separated fields, got {len(fields)}")
         rule_id, pattern, replacement, position, raw_exceptions = fields
         exceptions = frozenset(w for w in raw_exceptions.split(",") if w)
         try:
             rules.append(RewriteRule(rule_id, pattern, replacement, position, exceptions))
         except ValueError as exc:
-            raise RulesetFormatError(f"{name} line {line_no}: {exc}") from exc
+            raise RulesetFormatError(f"{name}: line {line_no}: {exc}") from exc
     return Ruleset(tuple(rules), name)
 
 

@@ -81,7 +81,6 @@ class DatasetDescriptor:
 class SplitPlan:
     test_dataset: str
     train_datasets: tuple[str, ...]
-    validation_fraction: Decimal
 
 
 class Registry:
@@ -149,19 +148,11 @@ def validate_stats(declared: CorpusStats, tolerance: Decimal | str | float = "0.
     return StatsVerdict(consistent, half_up_2dp(declared.tokens, declared.sentences))
 
 
-def make_cv_splits(genres: list[str],
-                   validation_fraction: Decimal | str | float = "0.1") -> list[SplitPlan]:
+def make_cv_splits(genres: list[str]) -> list[SplitPlan]:
     """Leave-one-subcorpus-out folds: each genre once as test, the rest as training."""
-    fraction = Decimal(str(validation_fraction))
-    if not (Decimal(0) < fraction < Decimal(1)):
-        raise ValueError("validation_fraction must lie in (0, 1)")
     if len(genres) < 2:
         raise TooFewDatasets(f"need at least 2 datasets for cross-validation, got {len(genres)}")
-    plans = []
-    for test in genres:
-        train = tuple(g for g in genres if g != test)
-        plans.append(SplitPlan(test, train, fraction))
-    return plans
+    return [SplitPlan(test, tuple(g for g in genres if g != test)) for test in genres]
 
 
 def split_for_validation(sentences: tuple[Sentence, ...],

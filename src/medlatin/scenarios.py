@@ -35,7 +35,7 @@ from decimal import Decimal
 from . import lemmatizer as lemmatizer_mod
 from . import tagger as tagger_mod
 from .conllu import TASKS, Document, concat_documents
-from .errors import MedlatinError, write_file
+from .errors import MedlatinError, read_text, write_file
 from .evaluation import evaluate
 from .registry import Registry, load_dataset, make_cv_splits, split_for_validation
 
@@ -69,7 +69,6 @@ class TrainingRun:
     task: str
     stages: tuple[tuple[str, ...], ...]
     test_datasets: tuple[str, ...]
-    stage_epochs: tuple[int, ...] | None = None  # per-stage override; None = caller default
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,7 @@ class ComparisonReport:
                 if e.genre == genre and e.task == task and e.is_worst}
 
 
-def plan(scenario: Scenario, registry: Registry,
-         validation_fraction: Decimal | str | float = "0.1") -> RunPlan:
+def plan(scenario: Scenario, registry: Registry) -> RunPlan:
     """Expand a scenario over the registry into concrete training runs."""
     genres = registry.genres()
     ud_sets = registry.ud_treebanks()
@@ -129,7 +127,7 @@ def plan(scenario: Scenario, registry: Registry,
         if len(genres) < 2:
             raise MissingDataset(
                 f"scenario {scenario.kind!r} needs at least 2 genre datasets")
-        folds = make_cv_splits(genres, validation_fraction)
+        folds = make_cv_splits(genres)
     if scenario.kind in ("ud_all", "ud_plus_specific", "ud_plus_efontes"):
         if not ud_sets:
             raise MissingDataset(f"scenario {scenario.kind!r} needs UD treebank datasets")
@@ -220,60 +218,49 @@ def _train_stages(run: TrainingRun, registry: Registry, epochs: int,
         corpus = materialize_corpus(registry, stage, drop_unsupported)
         train_sents, _reserved = split_for_validation(corpus.sentences, validation_fraction)
         train_doc = Document(train_sents, corpus.source_name)
-        stage_epochs = epochs if run.stage_epochs is None else run.stage_epochs[stage_index]
         if TASKS[run.task].tagger:
             model = tagger_mod.train(
-                train_doc, run.task, epochs=stage_epochs, base=model,
+                train_doc, run.task, epochs=epochs, base=model,
                 seed=derive_seed(base_seed, run.run_id, stage_index), datasets=stage)
         else:
             model = lemmatizer_mod.train_lemmatizer(train_doc, base=model, datasets=stage)
     return model
 
 
-def _execute_run(run: TrainingRun, registry: Registry, epochs: int,
-                 validation_fraction, base_seed: int, drop_unsupported: bool):
-    try:
-        model = _train_stages(run, registry, epochs, validation_fraction,
-                              base_seed, drop_unsupported)
-        rows = []
-        for test_name in run.test_datasets:
-            gold = load_dataset(registry, test_name, drop_unsupported)
-            predicted = predict_document(model, run.task, gold)
-            report = evaluate(gold, predicted, fields=(run.task,))
-            rows.append(ResultRow(run.run_id, run.scenario_label, test_name,
-                                  run.task, report.accuracy[run.task]))
-        return model, rows
-    except MedlatinError as exc:
-        exc.args = (f"run {run.run_id!r}: {exc}",)
-        raise
-
-
 def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None,
             epochs: int = 5, validation_fraction: Decimal | str | float = "0.1",
             base_seed: int = 0,
             drop_unsupported: bool = False) -> dict[tuple[str, str, str], Decimal]:
-    """Train every run, evaluate on its test sets, persist models and results.
+    """Train each run, evaluate it on its test sets and save its model, one
+    run at a time; then merge every run's rows into the results store.
 
-    Returns the result grid keyed (scenario label, genre, task).  Two
-    executions with the same arguments produce identical grids and
-    byte-identical results files.
+    If a run fails, the models of the runs before it stay saved and the
+    results store is left as it was.  Returns the result grid keyed
+    (scenario label, genre, task).  Two executions with the same arguments
+    produce identical grids and byte-identical files.
     """
-    outcomes = [(run, _execute_run(run, registry, epochs, validation_fraction,
-                                   base_seed, drop_unsupported))
-                for run in run_plan.runs]
-
-    all_rows: list[ResultRow] = []
-    if output_dir is not None:
-        models_dir = os.path.join(output_dir, "models")
-        os.makedirs(models_dir, exist_ok=True)
-    for run, (model, rows) in outcomes:
-        all_rows.extend(rows)
+    rows: list[ResultRow] = []
+    for run in run_plan.runs:
+        try:
+            model = _train_stages(run, registry, epochs, validation_fraction,
+                                  base_seed, drop_unsupported)
+            for test_name in run.test_datasets:
+                gold = load_dataset(registry, test_name, drop_unsupported)
+                predicted = predict_document(model, run.task, gold)
+                report = evaluate(gold, predicted, fields=(run.task,))
+                rows.append(ResultRow(run.run_id, run.scenario_label, test_name,
+                                      run.task, report.accuracy[run.task]))
+        except MedlatinError as exc:
+            exc.args = (f"run {run.run_id!r}: {exc}",)
+            raise
         if output_dir is not None:
+            models_dir = os.path.join(output_dir, "models")
+            os.makedirs(models_dir, exist_ok=True)
             path = os.path.join(models_dir, f"{run.run_id}.json")
             (tagger_mod if TASKS[run.task].tagger else lemmatizer_mod).save_model(model, path)
     if output_dir is not None:
-        merge_results_file(os.path.join(output_dir, "results.tsv"), all_rows)
-    return grid_from_rows(all_rows)
+        merge_results_file(os.path.join(output_dir, "results.tsv"), rows)
+    return grid_from_rows(rows)
 
 
 def write_results_file(path: str, rows: list[ResultRow]) -> None:
@@ -290,20 +277,19 @@ def read_results_file(path: str) -> list[ResultRow]:
     """Read a results store; a malformed row raises MedlatinError naming
     the path and line."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != RESULTS_FORMAT:
+    lines = read_text(path).split("\n")
+    if lines[0] != RESULTS_FORMAT:
         raise MedlatinError(f"{path}: not a {RESULTS_FORMAT} results file")
     for line_no, line in enumerate(lines[1:], start=2):
         if not line or line == RESULTS_HEADER:
             continue
         fields = line.split("\t")
         if len(fields) != 5:
-            raise MedlatinError(f"{path}:{line_no}: expected 5 tab-separated fields, "
+            raise MedlatinError(f"{path}: line {line_no}: expected 5 tab-separated fields, "
                                 f"got {len(fields)}")
         run_id, scenario, genre, task, accuracy = fields
         if not _ACCURACY.fullmatch(accuracy):
-            raise MedlatinError(f"{path}:{line_no}: accuracy {accuracy!r} is not a decimal")
+            raise MedlatinError(f"{path}: line {line_no}: accuracy {accuracy!r} is not a decimal")
         rows.append(ResultRow(run_id, scenario, genre, task, Decimal(accuracy)))
     return rows
 

@@ -237,7 +237,7 @@ def test_scenario_compare_rejects_short_results_row(tmp_path, capsys):
                        "ud_all__upos\tud_all\tAnnals\n", encoding="utf-8")
     assert run_cli(["scenario", "compare", "--results", str(results)]) == 1
     err = capsys.readouterr().err
-    assert "results.tsv:3: expected 5 tab-separated fields, got 3" in err
+    assert "results.tsv: line 3: expected 5 tab-separated fields, got 3" in err
     assert "Traceback" not in err
 
 
@@ -477,3 +477,45 @@ def test_non_integer_config_value_is_usage_error(tmp_path, capsys, line):
     assert run_cli(["--config", str(cfg), "scenario", "plan", "--scenario", "ud_all"]) == 2
     key, value = line.split(" = ")
     assert f"{cfg}: config key {key!r} must be an integer, not {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "validate", "--tolerance"],
+    ["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
+     "--out", "out", "--validation-fraction"],
+], ids=["tolerance", "validation-fraction"])
+@pytest.mark.parametrize("value", ["abc", "nan", "Infinity"])
+def test_non_finite_decimal_option_is_usage_error(tmp_path, capsys, monkeypatch, argv, value):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv + [value]) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[-1]}: {value!r} is not a finite decimal" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validation_fraction_out_of_range_creates_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
+                    "--validation-fraction", "1", "--out", str(out)]) == 1
+    assert "validation_fraction must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["config", "ruleset", "query", "results"])
+def test_non_utf8_input_names_path_and_line(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"#\n\xff\n")
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(GOLD, encoding="utf-8")
+    model = tmp_path / "lemma.json"
+    if reader == "query":
+        assert run_cli(["lemmatize", "train", "--in", str(gold), "--out", str(model)]) == 0
+    argv = {"config": ["--config", str(bad), "corpus", "validate"],
+            "ruleset": ["normalize", "--ruleset", str(bad), "--in", str(gold)],
+            "query": ["lemmatize", "run", "--model", str(model), "--in", str(bad)],
+            "results": ["scenario", "compare", "--results", str(bad)]}[reader]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MedlatinError: {bad}: line 2: not UTF-8")
+    assert "Traceback" not in err

@@ -1,8 +1,13 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from medlatin.analysis import ConfusionPattern
-from medlatin.normalize import (RewriteRule, Ruleset, RulesetFormatError,
-                                apply_rules, default_gold_ruleset, mine_rules,
+from medlatin.normalize import (POSITIONS, RewriteRule, Ruleset,
+                                RulesetFormatError, apply_rules,
+                                default_gold_ruleset, mine_rules,
                                 normalize_word, parse_ruleset,
                                 serialize_ruleset)
 
@@ -112,6 +117,80 @@ def test_ruleset_file_roundtrip():
 def test_ruleset_file_rejects_wrong_field_count():
     with pytest.raises(RulesetFormatError):
         parse_ruleset("only\ttwo\n")
+
+
+def reference_position_ok(position, start, end, length):
+    if position == "anywhere":
+        return True
+    if position == "initial":
+        return start == 0
+    if position == "final":
+        return end == length
+    return start > 0 and end < length  # middle
+
+
+def reference_apply_one(rule, word):
+    """The character-at-a-time rule engine, kept as the reference."""
+    if word in rule.exceptions:
+        return word
+    pat = rule.pattern
+    n = len(word)
+    out = []
+    i = 0
+    while i < n:
+        if word.startswith(pat, i) and reference_position_ok(rule.position, i, i + len(pat), n):
+            out.append(rule.replacement)
+            i += len(pat)
+        else:
+            out.append(word[i])
+            i += 1
+    return "".join(out)
+
+
+WORDS = st.text("ab", max_size=8)
+
+
+@st.composite
+def rewrite_rules(draw):
+    pattern = draw(st.text("ab", min_size=1, max_size=3))
+    replacement = draw(st.text("ab", max_size=3).filter(lambda r: r != pattern))
+    return (pattern, replacement, draw(st.sampled_from(POSITIONS)),
+            frozenset(draw(st.sets(WORDS, max_size=3))))
+
+
+def test_apply_rules_matches_reference_engine_exhaustively():
+    texts = [""] + ["".join(t) for n in range(1, 8) for t in itertools.product("ab", repeat=n)]
+    for pattern in texts[1:7]:
+        for replacement in texts[:7]:
+            for position in POSITIONS:
+                if replacement == pattern:
+                    continue
+                rule = RewriteRule("r", pattern, replacement, position)
+                for word in texts:
+                    assert apply_rules(rs(rule), word) == reference_apply_one(rule, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rewrite_rules(), min_size=1, max_size=3), WORDS)
+@example([("ab", "b", "middle", frozenset())], "aabab")
+@example([("a", "", "final", frozenset({"aa"}))], "aa")
+def test_apply_rules_matches_reference_engine(specs, word):
+    rules = tuple(RewriteRule(f"r{i}", *spec) for i, spec in enumerate(specs))
+    expected = word
+    for rule in rules:
+        expected = reference_apply_one(rule, expected)
+    assert apply_rules(rs(*rules), word) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text("civtuao", max_size=10),
+                 st.sampled_from(sorted(default_gold_ruleset().find("ti_for_ci").exceptions))))
+def test_default_ruleset_matches_reference_engine(word):
+    ruleset = default_gold_ruleset()
+    expected = word
+    for rule in ruleset.rules:
+        expected = reference_apply_one(rule, expected)
+    assert apply_rules(ruleset, word) == expected
 
 
 def test_mine_rules_basic():

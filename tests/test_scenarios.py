@@ -73,7 +73,7 @@ def test_derive_seed_stable():
     assert derive_seed(0, "run", 0) != derive_seed(1, "run", 0)
 
 
-def _solo_registry(tmp_path):
+def _solo_registry(tmp_path, extra=""):
     sentence = [("terram", "terra", "NOUN", "Case=Acc"),
                 ("laudat", "laudo", "VERB", "Tense=Pres"),
                 ("bonus", "bonus", "ADJ", "Degree=Pos"),
@@ -81,7 +81,7 @@ def _solo_registry(tmp_path):
     doc = simple_doc([sentence] * 12, name="Solo")
     (tmp_path / "solo.conllu").write_text(serialize(doc), encoding="utf-8")
     cfg = tmp_path / "reg.cfg"
-    cfg.write_text("[dataset:Solo]\nkind = efontes_genre\npaths = solo.conllu\n",
+    cfg.write_text("[dataset:Solo]\nkind = efontes_genre\npaths = solo.conllu\n" + extra,
                    encoding="utf-8")
     return load_registry(str(cfg))
 
@@ -94,15 +94,27 @@ def test_execute_memorization_upper_bound(tmp_path, task):
     assert grid[("solo", "Solo", task)] == Decimal("100.00")
 
 
-def test_execute_zero_epoch_second_stage_matches_single_stage(tmp_path):
-    registry = _solo_registry(tmp_path)
-    single = TrainingRun("single", "s", "upos", (("Solo",),), ("Solo",),
-                         stage_epochs=(3,))
-    double = TrainingRun("double", "s", "upos", (("Solo",), ("Solo",)), ("Solo",),
-                         stage_epochs=(3, 0))
-    grid_single = execute(RunPlan(Scenario("baseline"), (single,)), registry)
-    grid_double = execute(RunPlan(Scenario("baseline"), (double,)), registry)
-    assert grid_single[("s", "Solo", "upos")] == grid_double[("s", "Solo", "upos")]
+@pytest.mark.parametrize("had_results", [False, True], ids=["no-store", "store"])
+def test_failed_run_keeps_earlier_models_and_no_rows(tmp_path, had_results):
+    registry = _solo_registry(tmp_path, extra="[dataset:Ghost]\nkind = efontes_genre\n")
+    first = TrainingRun("first", "s", "lemma", (("Solo",),), ("Solo",))
+    second = TrainingRun("second", "s", "lemma", (("Ghost",),), ("Solo",))
+    out = tmp_path / "out"
+    results = out / "results.tsv"
+    if had_results:
+        out.mkdir()
+        write_results_file(str(results), [ResultRow("old", "baseline", "Annals", "upos",
+                                                    Decimal("90.00"))])
+        before = results.read_bytes()
+    with pytest.raises(MedlatinError, match=r"^run 'second': "):
+        execute(RunPlan(Scenario("baseline"), (first, second)), registry, output_dir=str(out))
+    assert os.listdir(out / "models") == ["first.json"]
+    model = lemmatizer.load_model(str(out / "models" / "first.json"))
+    assert [stage["datasets"] for stage in model.provenance] == [["Solo"]]
+    if had_results:
+        assert results.read_bytes() == before
+    else:
+        assert not results.exists()
 
 
 def test_execute_full_mini_grid_shape_and_determinism(tmp_path, mini_registry):
@@ -173,7 +185,7 @@ def test_read_results_file_rejects_malformed_row(tmp_path, row, message):
     path = tmp_path / "results.tsv"
     path.write_text(RESULTS_HEAD + "r0\tud_all\tAnnals\tupos\t80.00\n" + row + "\n",
                     encoding="utf-8")
-    with pytest.raises(MedlatinError, match=f"results.tsv:4: {message}"):
+    with pytest.raises(MedlatinError, match=f"results.tsv: line 4: {message}"):
         read_results_file(str(path))
 
 
