@@ -32,7 +32,7 @@ from . import normalize as normalize_mod
 from . import scenarios as scenarios_mod
 from . import tagger as tagger_mod
 from .conllu import TASKS, Document, concat_documents, read_conllu, serialize, validate
-from .errors import MedlatinError, read_text, write_file
+from .errors import MedlatinError, decode_text, read_text, write_file
 from .evaluation import evaluate, evaluate_by_genre
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
                        reference_registry, validate_registry)
@@ -203,7 +203,7 @@ def cmd_lemmatize_train(args) -> int:
 def cmd_lemmatize_run(args) -> int:
     model = lemmatizer_mod.load_model(args.model)
     name = args.infile or "<stdin>"
-    text = read_text(args.infile) if args.infile else sys.stdin.read()
+    text = read_text(args.infile) if args.infile else decode_text(sys.stdin.buffer.read(), name)
     out_lines = []
     for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.strip()

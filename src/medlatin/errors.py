@@ -39,12 +39,20 @@ def read_text(path: str) -> str:
     with the path; a decode error names its line."""
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            data = fh.read()
     except OSError as exc:
         raise MedlatinError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    return decode_text(data, path)
+
+
+def decode_text(data: bytes, name: str) -> str:
+    """Decode UTF-8 bytes with universal newlines; a byte that is not UTF-8
+    raises a MedlatinError that starts with name and names the line."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise MedlatinError(f"{path}: line {line_no}: not UTF-8 ({exc.reason})") from None
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MedlatinError(f"{name}: line {line_no}: not UTF-8 ({exc.reason})") from None
     if "\r" in text:  # universal newlines, as a text-mode open() reads them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -32,6 +32,11 @@ import zlib
 from dataclasses import dataclass, field
 from decimal import Decimal
 
+try:
+    import fcntl
+except ImportError:  # not POSIX: merges into the results store are not locked
+    fcntl = None
+
 from . import lemmatizer as lemmatizer_mod
 from . import tagger as tagger_mod
 from .conllu import TASKS, Document, concat_documents
@@ -296,14 +301,23 @@ def read_results_file(path: str) -> list[ResultRow]:
 
 def merge_results_file(path: str, new_rows: list[ResultRow]) -> None:
     """Rewrite the results store with rows keyed by (run_id, genre, task);
-    incoming rows replace existing ones with the same key."""
-    merged: dict[tuple[str, str, str], ResultRow] = {}
-    if os.path.exists(path):
-        for row in read_results_file(path):
+    incoming rows replace existing ones with the same key.
+
+    From the read to the rewrite the merge holds an exclusive flock on the
+    sidecar file path + ".lock", so merges into one store from concurrent
+    processes lose no rows.  The lock file is never deleted: a writer that
+    recreated it would lock a different file than one still waiting.
+    """
+    with open(path + ".lock", "a") as lock:
+        if fcntl is not None:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+        merged: dict[tuple[str, str, str], ResultRow] = {}
+        if os.path.exists(path):
+            for row in read_results_file(path):
+                merged[(row.run_id, row.genre, row.task)] = row
+        for row in new_rows:
             merged[(row.run_id, row.genre, row.task)] = row
-    for row in new_rows:
-        merged[(row.run_id, row.genre, row.task)] = row
-    write_results_file(path, list(merged.values()))
+        write_results_file(path, list(merged.values()))
 
 
 def grid_from_rows(rows: list[ResultRow]) -> dict[tuple[str, str, str], Decimal]:

@@ -16,7 +16,7 @@ extract_features emits a token's features in a fixed order that is their
 sorted order, so it neither sorts nor deduplicates them.
 
 Weights are stored feature-major, as in Honnibal's "A good POS tagger in
-about 200 lines of Python" (2013): feature id -> {tag index: weight}.
+about 200 lines of Python" (2013): feature string -> {tag index: weight}.
 Scoring a token reads only the rows of its active features and adds each
 row into a per-tag score list, feature by feature in the order
 extract_features returns them, so every tag's sum is taken in the same
@@ -24,9 +24,10 @@ order as a (feature, tag) lookup per tag would take it.  train and tag
 score through the same helper.  train reads each sentence's gold labels
 and their tag indices once per call, and keeps the lazy-averaging totals
 and timestamps in rows keyed like the weights.  Training drops zero
-weights and empty rows.  The on-disk format does not depend on this
-layout: a model file lists the weights as [feature id, tag index, weight]
-rows sorted by feature id, then tag index.
+weights and empty rows.  The feature vocabulary (feature -> id) serves
+only the model file, which lists the weights as [feature id, tag index,
+weight] rows sorted by feature id, then tag index, and training from a
+base model, which continues its ids.
 
 REFERENCE_FINETUNE_CONFIG holds the hyperparameters of the full-scale
 fine-tuning setup this trainer stands in for; they are recorded in every
@@ -76,7 +77,7 @@ class TaggerModel:
     task: str
     tagset: tuple[str, ...]
     feature_vocabulary: dict[str, int]
-    weights: dict[int, dict[int, float]]
+    weights: dict[str, dict[int, float]]
     provenance: tuple[TrainingStage, ...] = ()
     config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_FINETUNE_CONFIG))
 
@@ -114,15 +115,15 @@ def extract_features(sentence: Sentence, index: int, prev_tag: str = BOUNDARY) -
             + (f"w={low}",))
 
 
-def _best_index(tagset: tuple[str, ...], weights: dict[int, dict[int, float]],
-                feature_ids) -> int:
+def _best_index(tagset: tuple[str, ...], weights: dict[str, dict[int, float]],
+                features) -> int:
     """Index of the best-scoring tag; a tie goes to the smallest tag.
 
-    feature_ids may hold None for a feature the model does not know.
+    A feature without a weight row adds nothing.
     """
     scores = [0.0] * len(tagset)
-    for f_id in feature_ids:
-        row = weights.get(f_id)
+    for f in features:
+        row = weights.get(f)
         if row is not None:
             for t_idx, w in row.items():
                 scores[t_idx] += w
@@ -154,7 +155,7 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     if base is not None:
         tagset = list(base.tagset)
         vocab = dict(base.feature_vocabulary)
-        w = {f_id: dict(row) for f_id, row in base.weights.items()}
+        w = {f: dict(row) for f, row in base.weights.items()}
     else:
         tagset, vocab, w = [], {}, {}
     sentences = corpus.sentences
@@ -171,30 +172,30 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     # Lazy averaging: acc[f][t] accumulates sum-over-steps of weight (f, t),
     # flushed at (ts[f][t], now] intervals; untouched weights average to
     # their starting value, which keeps epochs=0 an exact identity on the base.
-    acc: dict[int, dict[int, float]] = {}
-    ts: dict[int, dict[int, int]] = {}
+    acc: dict[str, dict[int, float]] = {}
+    ts: dict[str, dict[int, int]] = {}
     step = 0
 
     rng = random.Random(seed)
     order = list(range(len(sentences)))
-    for _ in range(epochs):
+    for epoch in range(epochs):
         rng.shuffle(order)
         for s_i in order:
             sentence, sentence_labels = sentences[s_i], labels[s_i]
             prev = BOUNDARY
             for i, g_idx in enumerate(gold_indices[s_i]):
-                ids = []
-                for f in extract_features(sentence, i, prev):
-                    f_id = vocab.get(f)
-                    if f_id is None:
-                        f_id = vocab[f] = len(vocab)
-                    ids.append(f_id)
-                p_idx = _best_index(tagset_t, w, ids)
+                feats = extract_features(sentence, i, prev)
+                # Teacher forcing gives every epoch the same feature tuples,
+                # so epoch 0 meets every feature, in first-seen order.
+                if not epoch:
+                    for f in feats:
+                        vocab.setdefault(f, len(vocab))
+                p_idx = _best_index(tagset_t, w, feats)
                 if p_idx != g_idx:
-                    for f_id in ids:
-                        row = w.setdefault(f_id, {})
-                        acc_row = acc.setdefault(f_id, {})
-                        ts_row = ts.setdefault(f_id, {})
+                    for f in feats:
+                        row = w.setdefault(f, {})
+                        acc_row = acc.setdefault(f, {})
+                        ts_row = ts.setdefault(f, {})
                         for t_idx, delta in ((g_idx, 1.0), (p_idx, -1.0)):
                             value = row.get(t_idx, 0.0)
                             acc_row[t_idx] = (acc_row.get(t_idx, 0.0)
@@ -204,9 +205,9 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
                 prev = sentence_labels[i]
                 step += 1
 
-    averaged: dict[int, dict[int, float]] = {}
-    for f_id, row in w.items():
-        acc_row, ts_row = acc.get(f_id, {}), ts.get(f_id, {})
+    averaged: dict[str, dict[int, float]] = {}
+    for f, row in w.items():
+        acc_row, ts_row = acc.get(f, {}), ts.get(f, {})
         kept = {}
         for t_idx, value in row.items():
             if step:
@@ -214,7 +215,7 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
             if value != 0.0:
                 kept[t_idx] = value
         if kept:
-            averaged[f_id] = kept
+            averaged[f] = kept
 
     stage = TrainingStage(
         datasets=datasets if datasets is not None else (corpus.source_name,),
@@ -228,12 +229,11 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
 
 def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
     """Greedy left-to-right tagging; one tag per token, always."""
-    tagset, vocab = model.tagset, model.feature_vocabulary
+    tagset, weights = model.tagset, model.weights
     tags: list[str] = []
     prev = BOUNDARY
     for i in range(len(sentence.tokens)):
-        feats = extract_features(sentence, i, prev)
-        prev = tagset[_best_index(tagset, model.weights, map(vocab.get, feats))]
+        prev = tagset[_best_index(tagset, weights, extract_features(sentence, i, prev))]
         tags.append(prev)
     return tags
 
@@ -241,11 +241,11 @@ def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
 _WEIGHT_ROW = json_row("%d", "%d", "%r")  # feature id, tag index, weight
 
 
-def _weight_rows(weights: dict[int, dict[int, float]]):
+def _weight_rows(vocab: dict[str, int], weights: dict[str, dict[int, float]]):
     """The weight rows' JSON texts, sorted by feature id, then tag index."""
-    for f, row in sorted(weights.items()):
+    for f_id, row in sorted((vocab[f], row) for f, row in weights.items()):
         for t, w in sorted(row.items()):
-            yield _WEIGHT_ROW % (f, t, w)
+            yield _WEIGHT_ROW % (f_id, t, w)
 
 
 def save_model(model: TaggerModel, path: str) -> None:
@@ -257,7 +257,7 @@ def save_model(model: TaggerModel, path: str) -> None:
         "tagset": list(model.tagset),
         "feature_vocabulary": JSONItems(
             json_entries(features, map(str, map(vocab.__getitem__, features))), "{}"),
-        "weights": JSONItems(_weight_rows(model.weights)),
+        "weights": JSONItems(_weight_rows(vocab, model.weights)),
         "provenance": [
             {"datasets": list(s.datasets), "epochs": s.epochs, "was_continued": s.was_continued}
             for s in model.provenance
@@ -274,10 +274,11 @@ def load_model(path: str) -> TaggerModel:
     """Read a model file; a malformed one raises MedlatinError naming the path.
 
     Every tagset label must be one the task can hold (conllu.TASKS), because
-    tagging writes it into a CoNLL-U column.  Every weight row must name a
-    feature id from the vocabulary, a tag index inside the tagset, because
-    scoring indexes the tagset by it, and a finite int or float weight,
-    because save_model writes float.__repr__.
+    tagging writes it into a CoNLL-U column.  The vocabulary must give each
+    feature its own id.  Every weight row must name a feature id from the
+    vocabulary, a tag index inside the tagset, because scoring indexes the
+    tagset by it, and a finite int or float weight, because save_model
+    writes float.__repr__.
     """
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
 
@@ -300,16 +301,19 @@ def _model_from_payload(payload: dict) -> TaggerModel:
     for label in tagset:
         TASKS[task].parse(label)
     vocab = {k: int(v) for k, v in payload["feature_vocabulary"].items()}
-    known_ids = set(vocab.values())
+    feature_of = {f_id: f for f, f_id in vocab.items()}
+    if len(feature_of) != len(vocab):
+        raise ValueError("the feature vocabulary gives two features the same id")
     n_tags = len(tagset)
-    weights: dict[int, dict[int, float]] = {}
+    weights: dict[str, dict[int, float]] = {}
+    last = None  # save_model writes each feature id's rows one after another
     for f, t, w in payload["weights"]:
         f, t = int(f), int(t)
-        row = weights.get(f)
-        if row is None:
-            if f not in known_ids:
+        if f != last:
+            if f not in feature_of:
                 raise ValueError(f"weight row {[f, t, w]}: feature id {f} is not in the vocabulary")
-            row = weights[f] = {}
+            row = weights.setdefault(feature_of[f], {})
+            last = f
         if not 0 <= t < n_tags:
             raise ValueError(f"weight row {[f, t, w]}: tag index {t} is outside "
                              f"the tagset of {n_tags} tags")

@@ -377,16 +377,25 @@ def test_scenario_run_uses_config_output_dir(tmp_path, capsys):
     assert (out_dir / "results.tsv").exists()
 
 
+def stdin_bytes(data: bytes):
+    """A stand-in for sys.stdin over data, decoding as under the C locale."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def test_failed_out_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
-    # A form with a lone surrogate, as stdin decodes undecodable bytes under
-    # the C locale, cannot be written as UTF-8: the write fails part way.
+    # A lemma with a lone surrogate, which a JSON model file can hold as an
+    # escape, cannot be written as UTF-8: the write fails part way.
     train_file = tmp_path / "train.conllu"
-    train_file.write_text("1\tterram\tterra\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    train_file.write_text("1\tterram\tterra\tNOUN\t_\t_\t_\t_\t_\t_\n"
+                          "2\tportam\tporta\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
     model = tmp_path / "lemma.json"
     assert run_cli(["lemmatize", "train", "--in", str(train_file), "--out", str(model)]) == 0
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["lexicon"][0][2][0][0] += "\udcff"
+    model.write_text(json.dumps(payload), encoding="utf-8")
     out = tmp_path / "lemmas.txt"
     out.write_text("previous\n", encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", io.StringIO("terram:NOUN\nportam\udcff:NOUN\n"))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b"terram:NOUN\nportam:NOUN\n"))
     assert run_cli(["lemmatize", "run", "--model", str(model), "--out", str(out)]) == 1
     assert "UnicodeEncodeError" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "previous\n"
@@ -519,3 +528,15 @@ def test_non_utf8_input_names_path_and_line(tmp_path, capsys, reader):
     err = capsys.readouterr().err
     assert err.startswith(f"error: MedlatinError: {bad}: line 2: not UTF-8")
     assert "Traceback" not in err
+
+
+def test_non_utf8_stdin_query_names_stdin_and_line(tmp_path, capsys, monkeypatch):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(GOLD, encoding="utf-8")
+    model = tmp_path / "lemma.json"
+    assert run_cli(["lemmatize", "train", "--in", str(gold), "--out", str(model)]) == 0
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b"res:NOUN\n\xff:X\n"))
+    assert run_cli(["lemmatize", "run", "--model", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: MedlatinError: <stdin>: line 2: not UTF-8 (")
+    assert captured.out == ""

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -208,7 +210,27 @@ def test_failed_results_write_keeps_previous_store(tmp_path, monkeypatch, failur
         with pytest.raises(OSError, match="disk full"):
             merge_results_file(str(path), [row])
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["results.tsv"]
+    assert sorted(os.listdir(tmp_path)) == ["results.tsv", "results.tsv.lock"]
+
+
+def test_merge_waits_for_the_store_lock(tmp_path):
+    fcntl = pytest.importorskip("fcntl")
+    path = str(tmp_path / "results.tsv")
+    first = ResultRow("r1", "baseline", "Annals", "upos", Decimal("90.00"))
+    other = ResultRow("r2", "ud_all", "Annals", "upos", Decimal("80.00"))
+    merged = ResultRow("r3", "ud_all", "Annals", "lemma", Decimal("70.00"))
+    write_results_file(path, [first])
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with open(path + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            future = pool.submit(merge_results_file, path, [merged])
+            with pytest.raises(FutureTimeout):
+                future.result(timeout=0.5)
+            assert read_results_file(path) == [first]
+            # Another writer's merge, made while it holds the lock.
+            write_results_file(path, [first, other])
+        future.result(timeout=30)
+    assert set(read_results_file(path)) == {first, other, merged}
 
 
 def test_compare_biography_upos_column():

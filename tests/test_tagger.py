@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -345,6 +347,43 @@ def test_training_and_model_files_match_flat_reference(tmp_path, task):
         assert new_path.read_bytes() == flat_path.read_bytes()
 
 
+def flat_tag(model, sentence):
+    tags, prev = [], BOUNDARY
+    for i in range(len(sentence.tokens)):
+        ids = [model.feature_vocabulary.get(f) for f in extract_features(sentence, i, prev)]
+        prev = flat_best_tag(model.tagset, model.weights, ids)
+        tags.append(prev)
+    return tags
+
+
+FORMS = st.text("aAbcé1", min_size=1, max_size=5)
+TOKEN_ROWS = st.tuples(FORMS, st.just("_"), st.sampled_from(["NOUN", "VERB", "ADJ"]),
+                       st.sampled_from(["_", "Case=Nom", "Case=Acc|Number=Sing"]))
+CORPUS_ROWS = st.lists(st.lists(TOKEN_ROWS, min_size=1, max_size=5), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("task", ["upos", "ufeats"])
+@settings(max_examples=40, deadline=None)
+@given(alpha_rows=CORPUS_ROWS, beta_rows=CORPUS_ROWS, epochs=st.tuples(
+    st.integers(0, 3), st.integers(0, 3)), seeds=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+def test_one_and_two_stage_training_match_flat_reference(task, alpha_rows, beta_rows, epochs,
+                                                         seeds):
+    alpha, beta = simple_doc(alpha_rows, name="alpha"), simple_doc(beta_rows, name="beta")
+    base = train(alpha, task, epochs=epochs[0], seed=seeds[0])
+    flat_base = flat_train(alpha, task, epochs=epochs[0], seed=seeds[0])
+    staged = train(beta, task, epochs=epochs[1], base=base, seed=seeds[1])
+    flat_staged = flat_train(beta, task, epochs=epochs[1], base=flat_base, seed=seeds[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        new_path, flat_path = os.path.join(tmp, "new.json"), os.path.join(tmp, "flat.json")
+        for model, flat_model in ((base, flat_base), (staged, flat_staged)):
+            save_model(model, new_path)
+            flat_save_model(flat_model, flat_path)
+            with open(new_path, "rb") as new, open(flat_path, "rb") as flat:
+                assert new.read() == flat.read()
+            for sentence in alpha.sentences + beta.sentences:
+                assert tag(model, sentence) == flat_tag(flat_model, sentence)
+
+
 def test_save_model_writes_signed_zeros_and_float_reprs_like_json(tmp_path, toy_corpus):
     model = train(toy_corpus, "upos", epochs=1, seed=0)
     rows = [[0, 0, -0.0], [0, 1, 0.0], [1, 0, 0.0], [1, 1, -0.0], [2, 0, 0.1 + 0.2],
@@ -381,6 +420,12 @@ def _set_label(label):
     return lambda payload: payload["tagset"].__setitem__(-1, label)
 
 
+def _duplicate_feature_id(payload):
+    """Add a feature with an id already taken, leaving every id in use."""
+    vocab = payload["feature_vocabulary"]
+    vocab["not-a-feature"] = vocab[min(vocab)]
+
+
 def _set_weights(row):
     """row(payload) -> one weight row that breaks the model."""
     return lambda payload: payload.__setitem__("weights", [row(payload)])
@@ -392,6 +437,7 @@ MALFORMED = {
     "tagset-is-string": _set("tagset", "NOUN"),
     "weights-is-dict": _set("weights", {}),
     "vocabulary-is-list": _set("feature_vocabulary", []),
+    "vocabulary-duplicate-id": _duplicate_feature_id,
     "empty-tagset": _set("tagset", []),
     "unknown-task": _set("task", "deps"),
     "lemma-task": _set("task", "lemma"),
@@ -443,6 +489,16 @@ def test_load_model_accepts_labels_its_task_can_hold(tmp_path, toy_corpus, task,
     path = tmp_path / "tagger.json"
     write_edited(path, toy_corpus, _set_label(label), task)
     assert load_model(str(path)).tagset[-1] == label
+
+
+def test_load_model_reads_weight_rows_in_any_order(tmp_path, toy_corpus):
+    path = tmp_path / "tagger.json"
+    save_model(train(toy_corpus, "ufeats", epochs=2, seed=0), str(path))
+    model = load_model(str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    random.Random(0).shuffle(payload["weights"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_model(str(path)) == model
 
 
 def test_load_model_rejects_truncated_file(tmp_path, toy_corpus):
