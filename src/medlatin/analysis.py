@@ -99,15 +99,16 @@ def alignment_cost(ops: list[AlignmentOp]) -> int:
     return sum(1 for op in ops if op.op != MATCH)
 
 
-def extract_patterns(gold: str, pred: str) -> list[tuple[str, str]]:
-    """Collapse each maximal run of non-match ops into one (pattern, position) pair.
+def extract_patterns(gold: str, pred: str) -> list[tuple[str, str, str]]:
+    """Collapse each maximal run of non-match ops into one (gold_sub,
+    pred_sub, position) triple.
 
     A run spans gold[start:end] (start == end for a pure insertion): it is
     initial if start is 0, else final if end is len(gold), else middle.
     """
     if gold == pred:
         raise IdenticalStrings(f"{gold!r} equals its prediction")
-    patterns: list[tuple[str, str]] = []
+    patterns: list[tuple[str, str, str]] = []
     start = 0  # gold index where the next run of ops starts
     for is_match, run in groupby(align_chars(gold, pred), key=lambda op: op.op == MATCH):
         run = list(run)
@@ -117,7 +118,7 @@ def extract_patterns(gold: str, pred: str) -> list[tuple[str, str]]:
         run_gold = "".join([op.gold for op in run])
         end = start + len(run_gold)
         position = "initial" if start == 0 else "final" if end == len(gold) else "middle"
-        patterns.append((f"{run_gold}:{''.join([op.pred for op in run])}", position))
+        patterns.append((run_gold, "".join([op.pred for op in run]), position))
         start = end
     return patterns
 
@@ -135,9 +136,7 @@ def mine_confusions(errors: list[tuple[str, str]]) -> list[ConfusionPattern]:
         gold, pred = gold.lower(), pred.lower()
         if gold == pred:
             continue
-        for pattern, position in extract_patterns(gold, pred):
-            gold_sub, pred_sub = pattern.split(":", 1)
-            key = (gold_sub, pred_sub, position)
+        for key in extract_patterns(gold, pred):
             counts[key] = counts.get(key, 0) + 1
     patterns = [ConfusionPattern(g, p, pos, c) for (g, p, pos), c in counts.items()]
     patterns.sort(key=lambda cp: (POSITION_ORDER[cp.position], -cp.count,

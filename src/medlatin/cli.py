@@ -33,7 +33,7 @@ from . import scenarios as scenarios_mod
 from . import tagger as tagger_mod
 from .conllu import TASKS, Document, concat_documents, read_conllu, serialize, validate
 from .errors import MedlatinError, decode_text, read_text, write_file
-from .evaluation import evaluate, evaluate_by_genre
+from .evaluation import AlignmentMismatch, evaluate, evaluate_by_genre
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
                        reference_registry, validate_registry)
 
@@ -275,6 +275,8 @@ def cmd_scenario_run(args) -> int:
 
 def cmd_scenario_compare(args) -> int:
     rows = scenarios_mod.read_results_file(args.results)
+    if not rows:
+        raise MedlatinError(f"{args.results}: no result rows to compare")
     report = scenarios_mod.compare(scenarios_mod.grid_from_rows(rows))
     if args.machine:
         machine_rows = [
@@ -292,11 +294,20 @@ def cmd_scenario_compare(args) -> int:
 
 # ------------------------------------------------------------------ eval
 
+def _naming_pair(func, gold: Document, predicted: Document, *args):
+    """func(gold, predicted, *args); an AlignmentMismatch names the two files."""
+    try:
+        return func(gold, predicted, *args)
+    except AlignmentMismatch as exc:
+        exc.args = (f"{gold.source_name} vs {predicted.source_name}: {exc}",)
+        raise
+
+
 def cmd_eval(args) -> int:
     fields = _task_names(args.fields, "--fields")
     gold = read_conllu(args.gold, args.drop_unsupported)
     predicted = read_conllu(args.pred, args.drop_unsupported)
-    report = evaluate(gold, predicted, fields)
+    report = _naming_pair(evaluate, gold, predicted, fields)
     rows = [[f, str(report.accuracy[f]), str(report.matches(f)), str(report.token_count)]
             for f in fields]
     _emit_table(args, "eval", ["field", "accuracy", "matches", "tokens"], rows)
@@ -325,7 +336,8 @@ def cmd_analyze(args) -> int:
     if args.report == "confusions":
         errors = []
         for gold, pred in pairs.values():
-            errors.extend(analysis_mod.lemma_error_pairs(gold, pred, args.include_sym))
+            errors.extend(_naming_pair(analysis_mod.lemma_error_pairs, gold, pred,
+                                       args.include_sym))
         patterns = analysis_mod.mine_confusions(errors)
         by_position: dict[str, int] = {}
         rows = []
@@ -338,7 +350,7 @@ def cmd_analyze(args) -> int:
     elif args.report == "pos":
         matrix: dict = {}
         for gold, pred in pairs.values():
-            for key, count in analysis_mod.pos_confusions(gold, pred).items():
+            for key, count in _naming_pair(analysis_mod.pos_confusions, gold, pred).items():
                 matrix[key] = matrix.get(key, 0) + count
         ordered = sorted(matrix.items(), key=lambda kv: (-kv[1], kv[0]))
         rows = [[g, p, str(c)] for (g, p), c in ordered]

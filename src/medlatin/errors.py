@@ -16,6 +16,7 @@ handed to the writer as JSONItems.
 
 import json
 import os
+import re
 import stat
 from itertools import islice
 from json.encoder import encode_basestring as json_string
@@ -27,6 +28,9 @@ class MedlatinError(Exception):
 
 class EmptyCorpus(MedlatinError):
     """Raised when a trainer is given a corpus with no sentences to learn from."""
+
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _reject_constant(name: str):
@@ -65,13 +69,23 @@ def read_model_file(path: str, model_format: str, schema: dict, build):
     build(payload) converts the checked payload; a KeyError, TypeError,
     ValueError or OverflowError it raises on a malformed value becomes a
     MedlatinError that names the path, as does invalid JSON (NaN and
-    Infinity included), a wrong format tag or a missing or mistyped
-    top-level key.
+    Infinity included), a string holding a lone surrogate (a JSON escape
+    such as \\udcff, which UTF-8 cannot encode), a wrong format tag or a
+    missing or mistyped top-level key.
     """
+    text = read_text(path)
     try:
-        payload = json.loads(read_text(path), parse_constant=_reject_constant)
+        payload = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:
         raise MedlatinError(f"{path}: not a JSON file ({exc})") from exc
+    # Only a \u escape can give a string a lone surrogate, which the model
+    # could never write back or emit as UTF-8; "\\" in text is the fast test.
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MedlatinError(f"{path}: malformed model (a string holds the lone "
+                                f"surrogate {exc.object[exc.start]!r})") from None
     if not isinstance(payload, dict) or payload.get("format") != model_format:
         raise MedlatinError(f"{path}: not a {model_format} model file")
     for key, kind in schema.items():

@@ -132,6 +132,8 @@ def parse_ruleset(text: str, name: str = "<string>") -> Ruleset:
         rule_id, pattern, replacement, position, raw_exceptions = fields
         exceptions = frozenset(w for w in raw_exceptions.split(",") if w)
         try:
+            if any(rule.rule_id == rule_id for rule in rules):
+                raise ValueError(f"rule_id {rule_id!r} is already used by an earlier rule")
             rules.append(RewriteRule(rule_id, pattern, replacement, position, exceptions))
         except ValueError as exc:
             raise RulesetFormatError(f"{name}: line {line_no}: {exc}") from exc

@@ -231,6 +231,9 @@ def _registry_from_parser(parser: configparser.ConfigParser, base_dir: str,
             except (ValueError, InvalidOperation, configparser.NoOptionError) as exc:
                 raise RegistryConfigError(
                     f"{origin}: dataset {name!r} has malformed declared stats: {exc}") from exc
+            if declared.sentences == 0 and declared.tokens > 0:
+                raise RegistryConfigError(f"{origin}: dataset {name!r} declares "
+                                          f"{declared.tokens} tokens across 0 sentences")
         datasets.append(DatasetDescriptor(name, kind, tuple(paths), declared))
     return Registry(datasets)
 

@@ -123,70 +123,34 @@ class ComparisonReport:
 
 
 def plan(scenario: Scenario, registry: Registry) -> RunPlan:
-    """Expand a scenario over the registry into concrete training runs."""
-    genres = registry.genres()
-    ud_sets = registry.ud_treebanks()
-    runs: list[TrainingRun] = []
+    """Expand a scenario over the registry into concrete training runs.
 
-    if scenario.kind in ("baseline", "ud_plus_efontes"):
-        if len(genres) < 2:
-            raise MissingDataset(
-                f"scenario {scenario.kind!r} needs at least 2 genre datasets")
+    baseline and ud_plus_efontes run per (task, leave-one-genre-out fold);
+    ud_all and ud_plus_specific run per (label, task), tested on every genre.
+    Every kind but baseline starts with a stage on all UD treebanks.
+    """
+    kind, genres, ud_sets = scenario.kind, registry.genres(), tuple(registry.ud_treebanks())
+    held_out = kind in ("baseline", "ud_plus_efontes")
+    prefix = () if kind == "baseline" else (ud_sets,)
+    if held_out and len(genres) < 2:
+        raise MissingDataset(f"scenario {kind!r} needs at least 2 genre datasets")
+    if prefix and not ud_sets:
+        raise MissingDataset(f"scenario {kind!r} needs UD treebank datasets")
+    if not held_out and not genres:
+        raise MissingDataset(f"scenario {kind!r} needs genre datasets to test on")
+    if kind == "ud_plus_specific" and scenario.ud_name not in (None, *ud_sets):
+        raise MissingDataset(f"{scenario.ud_name!r} is not a registered UD treebank")
+    if held_out:
         folds = make_cv_splits(genres)
-    if scenario.kind in ("ud_all", "ud_plus_specific", "ud_plus_efontes"):
-        if not ud_sets:
-            raise MissingDataset(f"scenario {scenario.kind!r} needs UD treebank datasets")
-
-    if scenario.kind == "baseline":
-        for task in scenario.tasks:
-            for fold in folds:
-                runs.append(TrainingRun(
-                    run_id=f"baseline__{task}__{fold.test_dataset.lower()}",
-                    scenario_label="baseline",
-                    task=task,
-                    stages=(fold.train_datasets,),
-                    test_datasets=(fold.test_dataset,),
-                ))
-    elif scenario.kind == "ud_all":
-        if not genres:
-            raise MissingDataset("scenario 'ud_all' needs genre datasets to test on")
-        for task in scenario.tasks:
-            runs.append(TrainingRun(
-                run_id=f"ud_all__{task}",
-                scenario_label="ud_all",
-                task=task,
-                stages=(tuple(ud_sets),),
-                test_datasets=tuple(genres),
-            ))
-    elif scenario.kind == "ud_plus_specific":
-        if not genres:
-            raise MissingDataset("scenario 'ud_plus_specific' needs genre datasets to test on")
-        if scenario.ud_name is not None:
-            if scenario.ud_name not in ud_sets:
-                raise MissingDataset(
-                    f"{scenario.ud_name!r} is not a registered UD treebank")
-            selected = [scenario.ud_name]
-        else:
-            selected = ud_sets
-        for ud in selected:
-            for task in scenario.tasks:
-                runs.append(TrainingRun(
-                    run_id=f"ud_plus_{ud.lower()}__{task}",
-                    scenario_label=f"ud_plus_{ud.lower()}",
-                    task=task,
-                    stages=(tuple(ud_sets), (ud,)),
-                    test_datasets=tuple(genres),
-                ))
-    elif scenario.kind == "ud_plus_efontes":
-        for task in scenario.tasks:
-            for fold in folds:
-                runs.append(TrainingRun(
-                    run_id=f"ud_plus_efontes__{task}__{fold.test_dataset.lower()}",
-                    scenario_label="ud_plus_efontes",
-                    task=task,
-                    stages=(tuple(ud_sets), fold.train_datasets),
-                    test_datasets=(fold.test_dataset,),
-                ))
+        runs = [TrainingRun(f"{kind}__{task}__{fold.test_dataset.lower()}", kind, task,
+                            prefix + (fold.train_datasets,), (fold.test_dataset,))
+                for task in scenario.tasks for fold in folds]
+    else:
+        selected = ud_sets if scenario.ud_name is None else (scenario.ud_name,)
+        models = ([("ud_all", prefix)] if kind == "ud_all" else
+                  [(f"ud_plus_{ud.lower()}", prefix + ((ud,),)) for ud in selected])
+        runs = [TrainingRun(f"{label}__{task}", label, task, stages, tuple(genres))
+                for label, stages in models for task in scenario.tasks]
     return RunPlan(scenario, tuple(runs))
 
 

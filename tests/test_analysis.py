@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medlatin.analysis import (DEL, INS, MATCH, SUB, IdenticalStrings, align_chars,
-                               alignment_cost, extract_patterns,
+from medlatin.analysis import (DEL, INS, MATCH, SUB, ConfusionPattern, IdenticalStrings,
+                               align_chars, alignment_cost, extract_patterns,
                                genre_distribution, lemma_error_pairs,
                                mine_confusions, pos_confusions)
 from medlatin.evaluation import evaluate
@@ -55,32 +55,32 @@ def test_alignment_cost_matches_levenshtein_oracle():
 
 
 def test_extract_patterns_initial_sub():
-    assert extract_patterns("uideo", "video") == [("u:v", "initial")]
-    assert extract_patterns("kinga", "cinga") == [("k:c", "initial")]
+    assert extract_patterns("uideo", "video") == [("u", "v", "initial")]
+    assert extract_patterns("kinga", "cinga") == [("k", "c", "initial")]
 
 
 def test_extract_patterns_middle_sub():
-    assert extract_patterns("gratia", "gracia") == [("t:c", "middle")]
+    assert extract_patterns("gratia", "gracia") == [("t", "c", "middle")]
 
 
 def test_extract_patterns_run_collapsing_tomco():
-    assert extract_patterns("tomco", "thomcus") == [(":h", "middle"), ("o:us", "final")]
+    assert extract_patterns("tomco", "thomcus") == [("", "h", "middle"), ("o", "us", "final")]
 
 
 def test_extract_patterns_final_insertion():
-    assert extract_patterns("porta", "portam") == [(":m", "final")]
+    assert extract_patterns("porta", "portam") == [("", "m", "final")]
 
 
 def test_extract_patterns_initial_insertion():
-    assert extract_patterns("ungaria", "hungaria") == [(":h", "initial")]
+    assert extract_patterns("ungaria", "hungaria") == [("", "h", "initial")]
 
 
 def test_extract_patterns_final_deletion():
-    assert extract_patterns("portam", "porta") == [("m:", "final")]
+    assert extract_patterns("portam", "porta") == [("m", "", "final")]
 
 
 def test_extract_patterns_whole_word_counts_as_initial():
-    assert extract_patterns("ab", "xy") == [("ab:xy", "initial")]
+    assert extract_patterns("ab", "xy") == [("ab", "xy", "initial")]
 
 
 def test_extract_patterns_positions_partition():
@@ -90,7 +90,7 @@ def test_extract_patterns_positions_partition():
         p = "".join(rng.choice("abc") for _ in range(rng.randint(1, 8)))
         if g == p:
             continue
-        for _pattern, position in extract_patterns(g, p):
+        for _gold_sub, _pred_sub, position in extract_patterns(g, p):
             assert position in ("initial", "middle", "final")
 
 
@@ -151,13 +151,23 @@ def old_extract_patterns(gold, pred):
 
 
 @settings(max_examples=2000, deadline=None)
-@given(st.text("abuv", max_size=7), st.text("abuv", max_size=7))
+@given(st.text("abuv:", max_size=7), st.text("abuv:", max_size=7))
 def test_extract_patterns_matches_old_state_machine(gold, pred):
     if gold == pred:
         with pytest.raises(IdenticalStrings):
             extract_patterns(gold, pred)
     else:
-        assert extract_patterns(gold, pred) == old_extract_patterns(gold, pred)
+        joined = [(f"{g}:{p}", position) for g, p, position in extract_patterns(gold, pred)]
+        assert joined == old_extract_patterns(gold, pred)
+
+
+def test_patterns_keep_a_colon_on_either_side():
+    # A PUNCT lemma such as ":" must not be split where a pattern label
+    # would put its separator.
+    assert extract_patterns(":", ".") == [(":", ".", "initial")]
+    assert extract_patterns("a:b", "a;b") == [(":", ";", "middle")]
+    assert mine_confusions([(":", "."), ("a:b", "a;b"), ("a:b", "a;b")]) == [
+        ConfusionPattern(":", ".", "initial", 1), ConfusionPattern(":", ";", "middle", 2)]
 
 
 def test_extract_patterns_identical_strings_error():

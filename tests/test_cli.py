@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from medlatin import lemmatizer
 from medlatin.cli import run_cli
 from medlatin.conllu import parse_conllu
 
@@ -52,6 +53,27 @@ def test_scenario_plan_machine_mode_versioned_header(capsys):
     assert len([l for l in lines if l.startswith("ud_all__")]) == 3
 
 
+@pytest.mark.parametrize("datasets, argv, message", [
+    ({"Annals": "efontes_genre", "PROIEL": "ud_treebank"}, ["--scenario", "ud_plus_efontes"],
+     "scenario 'ud_plus_efontes' needs at least 2 genre datasets"),
+    ({"Annals": "efontes_genre", "Science": "efontes_genre"}, ["--scenario", "ud_all"],
+     "scenario 'ud_all' needs UD treebank datasets"),
+    ({"PROIEL": "ud_treebank"}, ["--scenario", "ud_plus_specific"],
+     "scenario 'ud_plus_specific' needs genre datasets to test on"),
+    ({"Annals": "efontes_genre", "PROIEL": "ud_treebank"},
+     ["--scenario", "ud_plus_specific", "--ud", "ITTB"],
+     "'ITTB' is not a registered UD treebank"),
+], ids=["too-few-genres", "no-ud-treebank", "no-test-genre", "unregistered-ud"])
+def test_scenario_plan_missing_dataset_exits_1(tmp_path, capsys, datasets, argv, message):
+    registry = tmp_path / "registry.cfg"
+    registry.write_text("".join(f"[dataset:{name}]\nkind = {kind}\n"
+                                for name, kind in datasets.items()), encoding="utf-8")
+    assert run_cli(["scenario", "plan", "--registry", str(registry)] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: MissingDataset: {message}\n"
+    assert captured.out == ""
+
+
 def test_eval_exit_codes(tmp_path, capsys):
     gold = tmp_path / "gold.conllu"
     pred = tmp_path / "pred.conllu"
@@ -69,6 +91,22 @@ def test_eval_misaligned_exits_1_naming_error(tmp_path, capsys):
     pred.write_text(MISALIGNED, encoding="utf-8")
     assert run_cli(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
     assert "AlignmentMismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval"], ["analyze", "--report", "confusions"], ["analyze", "--report", "pos"],
+], ids=["eval", "confusions", "pos"])
+@pytest.mark.parametrize("pred_text, detail", [
+    (MISALIGNED, "sentence 0: 2 gold vs 1 predicted tokens"),
+    ("", "document: 1 gold vs 0 predicted sentences"),
+], ids=["short-sentence", "no-sentences"])
+def test_misaligned_pair_names_both_files(tmp_path, capsys, command, pred_text, detail):
+    gold = tmp_path / "gold.conllu"
+    pred = tmp_path / "pred.conllu"
+    gold.write_text(GOLD, encoding="utf-8")
+    pred.write_text(pred_text, encoding="utf-8")
+    assert run_cli(command + ["--gold", str(gold), "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == f"error: AlignmentMismatch: {gold} vs {pred}: {detail}\n"
 
 
 def test_corpus_stats_single_file(tmp_path, capsys):
@@ -241,6 +279,14 @@ def test_scenario_compare_rejects_short_results_row(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_scenario_compare_rejects_store_without_rows(tmp_path, capsys):
+    results = tmp_path / "results.tsv"
+    results.write_text("#format=medlatin.results.v1\n"
+                       "run_id\tscenario\tgenre\ttask\taccuracy\n", encoding="utf-8")
+    assert run_cli(["scenario", "compare", "--results", str(results)]) == 1
+    assert capsys.readouterr().err == f"error: MedlatinError: {results}: no result rows to compare\n"
+
+
 @pytest.mark.parametrize("argv, config", [
     (["scenario", "plan", "--scenario", "ud_all", "--tasks", "upos,bogus"], None),
     (["scenario", "run", "--scenario", "ud_all", "--tasks", "upos,bogus", "--out", "OUT"], None),
@@ -383,16 +429,16 @@ def stdin_bytes(data: bytes):
 
 
 def test_failed_out_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
-    # A lemma with a lone surrogate, which a JSON model file can hold as an
-    # escape, cannot be written as UTF-8: the write fails part way.
+    # A lemma with a lone surrogate cannot be written as UTF-8: the write
+    # fails part way.
     train_file = tmp_path / "train.conllu"
     train_file.write_text("1\tterram\tterra\tNOUN\t_\t_\t_\t_\t_\t_\n"
                           "2\tportam\tporta\tNOUN\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
     model = tmp_path / "lemma.json"
     assert run_cli(["lemmatize", "train", "--in", str(train_file), "--out", str(model)]) == 0
-    payload = json.loads(model.read_text(encoding="utf-8"))
-    payload["lexicon"][0][2][0][0] += "\udcff"
-    model.write_text(json.dumps(payload), encoding="utf-8")
+    lemmatize = lemmatizer.lemmatize
+    monkeypatch.setattr("medlatin.lemmatizer.lemmatize",
+                        lambda model, query: lemmatize(model, query) + "\udcff")
     out = tmp_path / "lemmas.txt"
     out.write_text("previous\n", encoding="utf-8")
     monkeypatch.setattr("sys.stdin", stdin_bytes(b"terram:NOUN\nportam:NOUN\n"))
@@ -400,6 +446,34 @@ def test_failed_out_write_keeps_previous_file(tmp_path, capsys, monkeypatch):
     assert "UnicodeEncodeError" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lemma.json", "lemmas.txt", "train.conllu"]
+
+
+@pytest.mark.parametrize("command", [
+    ["tagger", "train", "--task", "upos", "--in", TOY_CORPUS, "--base", "MODEL", "--out", "OUT"],
+    ["tagger", "tag", "--model", "MODEL", "--in", TOY_CORPUS, "--out", "OUT"],
+    ["lemmatize", "train", "--in", TOY_CORPUS, "--base", "MODEL", "--out", "OUT"],
+    ["lemmatize", "run", "--model", "MODEL", "--in", "QUERIES", "--out", "OUT"],
+], ids=["tagger-train", "tagger-tag", "lemmatize-train", "lemmatize-run"])
+def test_model_with_lone_surrogate_names_the_file(tmp_path, capsys, command):
+    kind = command[0]
+    model = tmp_path / "model.json"
+    train = {"tagger": ["tagger", "train", "--task", "upos", "--epochs", "1"],
+             "lemmatize": ["lemmatize", "train"]}[kind]
+    assert run_cli(train + ["--in", TOY_CORPUS, "--out", str(model)]) == 0
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    if kind == "tagger":
+        payload["tagset"][0] += "\udcff"  # json.dumps writes it as an escape
+    else:
+        payload["lexicon"][0][2][0][0] += "\udcff"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    queries = tmp_path / "queries.txt"
+    queries.write_text("terram:NOUN\n", encoding="utf-8")
+    paths = {"MODEL": str(model), "QUERIES": str(queries), "OUT": str(tmp_path / "out")}
+    assert run_cli([paths.get(arg, arg) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: MedlatinError: {model}: malformed model "
+                   "(a string holds the lone surrogate '\\udcff')\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -471,7 +545,8 @@ def test_eval_input_errors_name_the_file(tmp_path, capsys, content, message):
 @pytest.mark.parametrize("content", [
     b"[dataset:A]\nkind = ud_treebank\n[dataset:A]\nkind = ud_treebank\n",
     b"kind = ud_treebank\n",
-], ids=["duplicate-section", "no-section-header"])
+    b"[dataset:A]\nkind = ud_treebank\ntokens = 5\nsentences = 0\navg = 0\n",
+], ids=["duplicate-section", "no-section-header", "tokens-without-sentences"])
 def test_malformed_registry_config_exits_1_naming_it(tmp_path, capsys, content):
     cfg = tmp_path / "reg.cfg"
     cfg.write_bytes(content)

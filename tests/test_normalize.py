@@ -119,6 +119,11 @@ def test_ruleset_file_rejects_wrong_field_count():
         parse_ruleset("only\ttwo\n")
 
 
+def test_ruleset_file_rejects_repeated_rule_id_naming_the_line():
+    with pytest.raises(RulesetFormatError, match="^rules.tsv: line 2: rule_id 'r1' is already "):
+        parse_ruleset("r1\tv\tu\tanywhere\t\nr1\tci\tti\tmiddle\t\n", name="rules.tsv")
+
+
 def reference_position_ok(position, start, end, length):
     if position == "anywhere":
         return True

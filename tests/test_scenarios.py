@@ -5,13 +5,17 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medlatin import lemmatizer, tagger
-from medlatin.conllu import Document, serialize
+from medlatin.conllu import TASKS, Document, serialize
 from medlatin.errors import MedlatinError
 from medlatin.evaluation import EvalReport, Mismatch, check_alignment, evaluate
-from medlatin.registry import load_dataset, load_registry, reference_registry
-from medlatin.scenarios import (MissingDataset, ResultRow,
+from medlatin.registry import (EFONTES_GENRE, UD_TREEBANK, DatasetDescriptor, Registry,
+                               load_dataset, load_registry, make_cv_splits,
+                               reference_registry)
+from medlatin.scenarios import (SCENARIO_KINDS, MissingDataset, ResultRow,
                                 RunPlan, Scenario, TrainingRun, compare,
                                 derive_seed, execute, grid_from_rows,
                                 materialize_corpus, merge_results_file, plan,
@@ -61,6 +65,101 @@ def test_plan_stage_structure():
     for run in staged.runs:
         assert len(run.stages) == 2
         assert run.stages[0] == ("PROIEL", "Perseus", "LLCT", "ITTB", "UDante")
+
+
+def old_plan(scenario: Scenario, registry: Registry) -> RunPlan:
+    """plan as it was before the two run shapes, one branch per kind, kept
+    verbatim as the reference it is tested against."""
+    genres = registry.genres()
+    ud_sets = registry.ud_treebanks()
+    runs: list[TrainingRun] = []
+
+    if scenario.kind in ("baseline", "ud_plus_efontes"):
+        if len(genres) < 2:
+            raise MissingDataset(
+                f"scenario {scenario.kind!r} needs at least 2 genre datasets")
+        folds = make_cv_splits(genres)
+    if scenario.kind in ("ud_all", "ud_plus_specific", "ud_plus_efontes"):
+        if not ud_sets:
+            raise MissingDataset(f"scenario {scenario.kind!r} needs UD treebank datasets")
+
+    if scenario.kind == "baseline":
+        for task in scenario.tasks:
+            for fold in folds:
+                runs.append(TrainingRun(
+                    run_id=f"baseline__{task}__{fold.test_dataset.lower()}",
+                    scenario_label="baseline",
+                    task=task,
+                    stages=(fold.train_datasets,),
+                    test_datasets=(fold.test_dataset,),
+                ))
+    elif scenario.kind == "ud_all":
+        if not genres:
+            raise MissingDataset("scenario 'ud_all' needs genre datasets to test on")
+        for task in scenario.tasks:
+            runs.append(TrainingRun(
+                run_id=f"ud_all__{task}",
+                scenario_label="ud_all",
+                task=task,
+                stages=(tuple(ud_sets),),
+                test_datasets=tuple(genres),
+            ))
+    elif scenario.kind == "ud_plus_specific":
+        if not genres:
+            raise MissingDataset("scenario 'ud_plus_specific' needs genre datasets to test on")
+        if scenario.ud_name is not None:
+            if scenario.ud_name not in ud_sets:
+                raise MissingDataset(
+                    f"{scenario.ud_name!r} is not a registered UD treebank")
+            selected = [scenario.ud_name]
+        else:
+            selected = ud_sets
+        for ud in selected:
+            for task in scenario.tasks:
+                runs.append(TrainingRun(
+                    run_id=f"ud_plus_{ud.lower()}__{task}",
+                    scenario_label=f"ud_plus_{ud.lower()}",
+                    task=task,
+                    stages=(tuple(ud_sets), (ud,)),
+                    test_datasets=tuple(genres),
+                ))
+    elif scenario.kind == "ud_plus_efontes":
+        for task in scenario.tasks:
+            for fold in folds:
+                runs.append(TrainingRun(
+                    run_id=f"ud_plus_efontes__{task}__{fold.test_dataset.lower()}",
+                    scenario_label="ud_plus_efontes",
+                    task=task,
+                    stages=(tuple(ud_sets), fold.train_datasets),
+                    test_datasets=(fold.test_dataset,),
+                ))
+    return RunPlan(scenario, tuple(runs))
+
+
+def _outcome(planner, scenario, registry):
+    try:
+        return planner(scenario, registry).runs
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+
+
+# Names that differ only in case make run ids collide, which RunPlan rejects.
+_NAMES = ("Annals", "annals", "Science", "ITTB", "ittb", "PROIEL", "Perseus")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(datasets=st.lists(st.tuples(st.sampled_from(_NAMES),
+                                   st.sampled_from((UD_TREEBANK, EFONTES_GENRE))),
+                         max_size=6, unique_by=lambda d: d[0]),
+       kind=st.sampled_from(SCENARIO_KINDS),
+       tasks=st.lists(st.sampled_from(tuple(TASKS)), unique=True),
+       data=st.data())
+def test_plan_matches_old_plan(datasets, kind, tasks, data):
+    registry = Registry([DatasetDescriptor(name, k) for name, k in datasets])
+    ud_name = data.draw(st.sampled_from(
+        [None, "Nonexistent"] + registry.ud_treebanks() + registry.genres()), label="ud_name")
+    scenario = Scenario(kind, tuple(tasks), ud_name)
+    assert _outcome(plan, scenario, registry) == _outcome(old_plan, scenario, registry)
 
 
 def test_run_ids_unique_enforced():
