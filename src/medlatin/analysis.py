@@ -152,37 +152,32 @@ def lemma_error_pairs(gold: Document, predicted: Document,
     handling is a fixed annotation policy, and counting those errors drowns
     out the orthographic patterns the mining is after.
     """
-    check_alignment(gold, predicted)
     read = TASKS["lemma"].read
     pairs = []
-    for g_sent, p_sent in zip(gold.sentences, predicted.sentences):
-        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
-            if g_tok.upos == "SYM" and not include_sym:
-                continue
-            g_lemma = read(g_tok)
-            p_lemma = read(p_tok)
-            if g_lemma != p_lemma:
-                pairs.append((g_lemma, p_lemma))
+    for g_tok, p_tok in zip(*check_alignment(gold, predicted)):
+        if g_tok.upos == "SYM" and not include_sym:
+            continue
+        g_lemma = read(g_tok)
+        p_lemma = read(p_tok)
+        if g_lemma != p_lemma:
+            pairs.append((g_lemma, p_lemma))
     return pairs
 
 
 def pos_confusions(gold: Document, predicted: Document) -> dict[tuple[str, str], int]:
     """Off-diagonal (gold UPOS, predicted UPOS) counts over aligned documents."""
-    check_alignment(gold, predicted)
     matrix: dict[tuple[str, str], int] = {}
-    for g_sent, p_sent in zip(gold.sentences, predicted.sentences):
-        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
-            if g_tok.upos != p_tok.upos:
-                key = (g_tok.upos, p_tok.upos)
-                matrix[key] = matrix.get(key, 0) + 1
+    for g_tok, p_tok in zip(*check_alignment(gold, predicted)):
+        if g_tok.upos != p_tok.upos:
+            key = (g_tok.upos, p_tok.upos)
+            matrix[key] = matrix.get(key, 0) + 1
     return matrix
 
 
 def genre_distribution(reports: dict[str, EvalReport], field: str) -> GenreErrorDistribution:
     """Error counts per genre for one field, with each genre's share of the total."""
-    counts = {}
-    for genre, report in reports.items():
-        counts[genre] = sum(1 for m in report.mismatches if m.field == field)
+    counts = {genre: report.token_count - report.matches[field]
+              for genre, report in reports.items()}
     total = sum(counts.values())
     if total == 0:
         return GenreErrorDistribution(counts, None)

@@ -308,7 +308,7 @@ def cmd_eval(args) -> int:
     gold = read_conllu(args.gold, args.drop_unsupported)
     predicted = read_conllu(args.pred, args.drop_unsupported)
     report = _naming_pair(evaluate, gold, predicted, fields)
-    rows = [[f, str(report.accuracy[f]), str(report.matches(f)), str(report.token_count)]
+    rows = [[f, str(report.accuracy[f]), str(report.matches[f]), str(report.token_count)]
             for f in fields]
     _emit_table(args, "eval", ["field", "accuracy", "matches", "tokens"], rows)
     return 0

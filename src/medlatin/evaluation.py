@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from operator import eq
 
-from .conllu import TASKS, Document
+from .conllu import TASKS, Document, Token
 from .errors import MedlatinError
 from .registry import half_up_2dp
 
@@ -24,29 +25,21 @@ class AlignmentMismatch(MedlatinError):
 
 
 @dataclass(frozen=True)
-class Mismatch:
-    sent_index: int
-    token_id: int
-    field: str
-    gold: str
-    predicted: str
-
-
-@dataclass(frozen=True)
 class EvalReport:
     accuracy: dict[str, Decimal]
     token_count: int
-    mismatches: tuple[Mismatch, ...]
-
-    def matches(self, field: str) -> int:
-        return self.token_count - sum(1 for m in self.mismatches if m.field == field)
+    matches: dict[str, int]
 
 
-def check_alignment(gold: Document, predicted: Document) -> None:
+def check_alignment(gold: Document, predicted: Document) -> tuple[list[Token], list[Token]]:
+    """The one walk over an aligned pair: raise AlignmentMismatch at the first
+    divergence, else return the gold and predicted tokens, flattened in order."""
     if len(gold.sentences) != len(predicted.sentences):
         raise AlignmentMismatch(
             "document", f"{len(gold.sentences)} gold vs {len(predicted.sentences)} "
             "predicted sentences")
+    gold_tokens: list[Token] = []
+    pred_tokens: list[Token] = []
     for s_idx, (g_sent, p_sent) in enumerate(zip(gold.sentences, predicted.sentences)):
         if len(g_sent.tokens) != len(p_sent.tokens):
             raise AlignmentMismatch(
@@ -57,27 +50,21 @@ def check_alignment(gold: Document, predicted: Document) -> None:
                 raise AlignmentMismatch(
                     f"sentence {s_idx}, token {g_tok.id}",
                     f"form {g_tok.form!r} vs {p_tok.form!r}")
+        gold_tokens += g_sent.tokens
+        pred_tokens += p_sent.tokens
+    return gold_tokens, pred_tokens
 
 
 def evaluate(gold: Document, predicted: Document,
              fields: tuple[str, ...] = tuple(TASKS)) -> EvalReport:
     """Exact-match accuracy per field (a TASKS name) over position-aligned documents."""
     readers = [(f, TASKS[f].read) for f in fields]
-    check_alignment(gold, predicted)
-    total = gold.token_count()
-    matches = {f: 0 for f in fields}
-    mismatches: list[Mismatch] = []
-    for s_idx, (g_sent, p_sent) in enumerate(zip(gold.sentences, predicted.sentences)):
-        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
-            for f, read in readers:
-                g_val = read(g_tok)
-                p_val = read(p_tok)
-                if g_val == p_val:
-                    matches[f] += 1
-                else:
-                    mismatches.append(Mismatch(s_idx, g_tok.id, f, g_val, p_val))
+    gold_tokens, pred_tokens = check_alignment(gold, predicted)
+    total = len(gold_tokens)
+    matches = {f: sum(map(eq, map(read, gold_tokens), map(read, pred_tokens)))
+               for f, read in readers}
     accuracy = {f: half_up_2dp(100 * matches[f], total) for f in fields}
-    return EvalReport(accuracy, total, tuple(mismatches))
+    return EvalReport(accuracy, total, matches)
 
 
 def evaluate_by_genre(pairs: dict[str, tuple[Document, Document]],

@@ -31,7 +31,7 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from importlib import resources
 
 from .conllu import Document, Sentence, concat_documents, read_conllu
-from .errors import MedlatinError
+from .errors import MedlatinError, read_text
 
 UD_TREEBANK = "ud_treebank"
 EFONTES_GENRE = "efontes_genre"
@@ -184,24 +184,30 @@ def load_dataset(registry: Registry, name: str, drop_unsupported: bool = False) 
 
 def load_registry(path: str) -> Registry:
     """Read a registry config file (format documented in the module docstring)."""
+    text = read_text(path)
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path, encoding="utf-8"):
-            raise RegistryConfigError(f"cannot read registry config {path!r}")
+        parser.read_string(text, source=path)
         return _registry_from_parser(parser, os.path.dirname(os.path.abspath(path)), path)
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except configparser.Error as exc:
         raise RegistryConfigError(f"{path}: {exc}") from exc
 
 
 def _registry_from_parser(parser: configparser.ConfigParser, base_dir: str,
                           origin: str) -> Registry:
     datasets = []
+    names: dict[str, str] = {}  # lowercased name -> name; run ids lowercase names
     for section in parser.sections():
         if not section.startswith("dataset:"):
             raise RegistryConfigError(f"{origin}: unexpected section [{section}]")
         name = section.split(":", 1)[1].strip()
         if not name:
             raise RegistryConfigError(f"{origin}: empty dataset name in [{section}]")
+        if name.lower() in names:
+            raise RegistryConfigError(f"{origin}: dataset {name!r} clashes with "
+                                      f"{names[name.lower()]!r} (names must differ in more "
+                                      "than case)")
+        names[name.lower()] = name
         kind = parser.get(section, "kind", fallback="").strip()
         if kind not in (UD_TREEBANK, EFONTES_GENRE):
             raise RegistryConfigError(

@@ -139,7 +139,8 @@ def plan(scenario: Scenario, registry: Registry) -> RunPlan:
     if not held_out and not genres:
         raise MissingDataset(f"scenario {kind!r} needs genre datasets to test on")
     if kind == "ud_plus_specific" and scenario.ud_name not in (None, *ud_sets):
-        raise MissingDataset(f"{scenario.ud_name!r} is not a registered UD treebank")
+        raise MissingDataset(
+            f"scenario {kind!r} needs a registered UD treebank, not {scenario.ud_name!r}")
     if held_out:
         folds = make_cv_splits(genres)
         runs = [TrainingRun(f"{kind}__{task}__{fold.test_dataset.lower()}", kind, task,

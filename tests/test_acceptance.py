@@ -145,7 +145,7 @@ def test_06_evaluation_oracle_bit_exact():
                     matches += same
             expected = (Decimal(matches) * 100 / Decimal(total)).quantize(
                 Decimal("0.01"), rounding=ROUND_HALF_UP)
-            ok = ok and report.accuracy[field] == expected and report.matches(field) == matches
+            ok = ok and report.accuracy[field] == expected and report.matches[field] == matches
     _report(6, "evaluation equals brute-force oracle on 100 random fixtures", ok)
 
 

@@ -46,12 +46,10 @@ def _levenshtein(a: str, b: str) -> int:
     return previous[len(b)]
 
 
-def test_alignment_cost_matches_levenshtein_oracle():
-    rng = random.Random(1234)
-    for _ in range(800):
-        a = "".join(rng.choice("abcde") for _ in range(rng.randint(0, 12)))
-        b = "".join(rng.choice("abcde") for _ in range(rng.randint(0, 12)))
-        assert alignment_cost(align_chars(a, b)) == _levenshtein(a, b), (a, b)
+@settings(max_examples=800, deadline=None)
+@given(a=st.text("abcde", max_size=12), b=st.text("abcde", max_size=12))
+def test_alignment_cost_matches_levenshtein_oracle(a, b):
+    assert alignment_cost(align_chars(a, b)) == _levenshtein(a, b)
 
 
 def test_extract_patterns_initial_sub():
@@ -238,7 +236,7 @@ def test_pos_confusions_total_equals_evaluate_mismatches():
     gold, pred = simple_doc(rows_g), simple_doc(rows_p)
     matrix = pos_confusions(gold, pred)
     report = evaluate(gold, pred, ("upos",))
-    assert sum(matrix.values()) == len(report.mismatches)
+    assert sum(matrix.values()) == report.token_count - report.matches["upos"]
 
 
 def test_genre_distribution_shares():

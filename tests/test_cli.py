@@ -62,7 +62,7 @@ def test_scenario_plan_machine_mode_versioned_header(capsys):
      "scenario 'ud_plus_specific' needs genre datasets to test on"),
     ({"Annals": "efontes_genre", "PROIEL": "ud_treebank"},
      ["--scenario", "ud_plus_specific", "--ud", "ITTB"],
-     "'ITTB' is not a registered UD treebank"),
+     "scenario 'ud_plus_specific' needs a registered UD treebank, not 'ITTB'"),
 ], ids=["too-few-genres", "no-ud-treebank", "no-test-genre", "unregistered-ud"])
 def test_scenario_plan_missing_dataset_exits_1(tmp_path, capsys, datasets, argv, message):
     registry = tmp_path / "registry.cfg"
@@ -193,7 +193,8 @@ def test_tagger_train_and_tag_cli(tmp_path, capsys):
     assert run_cli(["tagger", "tag", "--model", str(model), "--in", TOY_CORPUS,
                     "--out", str(tagged)]) == 0
     doc = parse_conllu(tagged.read_text(encoding="utf-8"))
-    gold = parse_conllu(open(TOY_CORPUS, encoding="utf-8").read())
+    with open(TOY_CORPUS, encoding="utf-8") as fh:
+        gold = parse_conllu(fh.read())
     assert [t.upos for s in doc.sentences for t in s.tokens] == \
            [t.upos for s in gold.sentences for t in s.tokens]
 
@@ -546,7 +547,9 @@ def test_eval_input_errors_name_the_file(tmp_path, capsys, content, message):
     b"[dataset:A]\nkind = ud_treebank\n[dataset:A]\nkind = ud_treebank\n",
     b"kind = ud_treebank\n",
     b"[dataset:A]\nkind = ud_treebank\ntokens = 5\nsentences = 0\navg = 0\n",
-], ids=["duplicate-section", "no-section-header", "tokens-without-sentences"])
+    b"[dataset:Annals]\nkind = efontes_genre\n[dataset:annals]\nkind = efontes_genre\n",
+], ids=["duplicate-section", "no-section-header", "tokens-without-sentences",
+        "names-differ-in-case"])
 def test_malformed_registry_config_exits_1_naming_it(tmp_path, capsys, content):
     cfg = tmp_path / "reg.cfg"
     cfg.write_bytes(content)

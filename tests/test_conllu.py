@@ -1,6 +1,5 @@
 import glob
 import os
-import random
 import re
 
 import pytest
@@ -166,35 +165,43 @@ def test_opaque_columns_roundtrip_verbatim():
     assert serialize(d) == text
 
 
-def _random_canonical_doc(rng: random.Random) -> Document:
-    alphabet = "abcdefghijklmnopqrstuvwxyz"
-    upos_pool = ["NOUN", "VERB", "ADJ", "SYM", "PUNCT", "_"]
+# One column of a token line: no tab, no line break, never empty.
+_COLUMN = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+                  min_size=1, max_size=6)
+_SENT_ID = _COLUMN.map(str.strip).filter(bool)
+
+
+@st.composite
+def canonical_documents(draw):
+    """Documents already in canonical form: ids from 1, sorted unique FEATS
+    keys, and a sent_id that its comment line reads back."""
     sentences = []
-    for _ in range(rng.randint(1, 6)):
+    for _ in range(draw(st.integers(0, 4))):
         tokens = []
-        for i in range(rng.randint(1, 8)):
-            form = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
-            n_feats = rng.randint(0, 3)
-            keys = rng.sample(["Case", "Number", "Gender", "Tense"], n_feats)
-            ufeats = tuple(sorted((k, rng.choice(["A", "B", "C"])) for k in keys))
-            tokens.append(Token(i + 1, form, form, rng.choice(upos_pool), ufeats))
-        comments, sent_id = (), None
-        if rng.random() < 0.5:
-            sent_id = f"r-{rng.randint(1, 999)}"
-            comments = (f"# sent_id = {sent_id}",)
+        for i in range(draw(st.integers(1, 5))):
+            keys = draw(st.lists(_COLUMN.filter(lambda k: "=" not in k and "|" not in k),
+                                 max_size=3, unique=True))
+            ufeats = tuple(sorted((k, draw(_COLUMN.filter(lambda v: "|" not in v)))
+                                  for k in keys))
+            tokens.append(Token(i + 1, draw(_COLUMN), draw(_COLUMN),
+                                draw(st.sampled_from(sorted(UPOS_TAGS))), ufeats,
+                                draw(_COLUMN), tuple(draw(_COLUMN) for _ in range(4))))
+        sent_id = draw(st.none() | _SENT_ID)
+        comments = () if sent_id is None else (f"# sent_id = {sent_id}",)
+        if draw(st.booleans()):
+            comments += (f"# text = {draw(_COLUMN)}",)
         sentences.append(Sentence(tuple(tokens), sent_id, comments))
     return Document(tuple(sentences), "random")
 
 
-def test_random_documents_roundtrip():
-    rng = random.Random(20240917)
-    for _ in range(200):
-        d = _random_canonical_doc(rng)
-        text = serialize(d)
-        parsed = parse_conllu(text)
-        assert parsed.sentences == d.sentences
-        assert serialize(parsed) == text
-        assert validate(parsed) == []
+@settings(max_examples=200, deadline=None)
+@given(d=canonical_documents())
+def test_random_documents_roundtrip(d):
+    text = serialize(d)
+    parsed = parse_conllu(text)
+    assert parsed.sentences == d.sentences
+    assert serialize(parsed) == text
+    assert validate(parsed) == []
 
 
 def test_validate_clean_document():

@@ -1,7 +1,5 @@
 import json
 import os
-import random
-import string
 import tempfile
 
 import pytest
@@ -64,14 +62,10 @@ def test_apply_incompatible_interior():
         apply_edit_script(script, "abc")
 
 
-def test_inverse_property_random_pairs():
-    rng = random.Random(4242)
-    for _ in range(5000):
-        form = "".join(rng.choice(string.ascii_lowercase)
-                       for _ in range(rng.randint(1, 20)))
-        lemma = "".join(rng.choice(string.ascii_lowercase)
-                        for _ in range(rng.randint(1, 20)))
-        assert apply_edit_script(derive_edit_script(form, lemma), form) == lemma
+@settings(max_examples=1000, deadline=None)
+@given(form=st.text(max_size=20), lemma=st.text(max_size=20))
+def test_inverse_property_random_pairs(form, lemma):
+    assert apply_edit_script(derive_edit_script(form, lemma), form) == lemma
 
 
 def _fixture_corpus():

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 
 import pytest
@@ -169,19 +170,32 @@ def test_registry_config_rejects_unknown_kind(tmp_path):
         load_registry(str(cfg))
 
 
-@pytest.mark.parametrize("content, message", [
-    (b"[dataset:A]\nkind = ud_treebank\n[dataset:A]\nkind = ud_treebank\n", "already exists"),
-    (b"kind = ud_treebank\n", "no section headers"),
-    (b"[dataset:A]\nkind = ud_\xfftreebank\n", "can't decode byte 0xff"),
-    (b"[dataset:A]\nkind = ud_treebank\npaths = a%b\n", "'%' must be followed"),
+@pytest.mark.parametrize("content, error, message", [
+    (b"[dataset:A]\nkind = ud_treebank\n[dataset:A]\nkind = ud_treebank\n",
+     RegistryConfigError, "already exists"),
+    (b"kind = ud_treebank\n", RegistryConfigError, "no section headers"),
+    # decoded by errors.read_text, which names the line like every other reader
+    (b"[dataset:A]\nkind = ud_\xfftreebank\n", MedlatinError,
+     r"line 2: not UTF-8 \(invalid start byte\)"),
+    (b"[dataset:A]\nkind = ud_treebank\npaths = a%b\n", RegistryConfigError,
+     "'%' must be followed"),
     (b"[dataset:A]\nkind = ud_treebank\ntokens = 3\nsentences = 1\navg = abc\n",
-     "malformed declared stats"),
-], ids=["duplicate-section", "no-section-header", "not-utf8", "bad-interpolation", "bad-avg"])
-def test_registry_config_errors_name_the_path(tmp_path, content, message):
+     RegistryConfigError, "malformed declared stats"),
+    (b"[dataset:Annals]\nkind = efontes_genre\n[dataset:annals]\nkind = efontes_genre\n",
+     RegistryConfigError, "dataset 'annals' clashes with 'Annals'"),
+], ids=["duplicate-section", "no-section-header", "not-utf8", "bad-interpolation", "bad-avg",
+        "names-differ-in-case"])
+def test_registry_config_errors_name_the_path(tmp_path, content, error, message):
     cfg = tmp_path / "reg.cfg"
     cfg.write_bytes(content)
-    with pytest.raises(RegistryConfigError, match=f"reg.cfg: .*{message}"):
+    with pytest.raises(error, match=f"reg.cfg: .*{message}"):
         load_registry(str(cfg))
+
+
+def test_missing_registry_config_names_the_path(tmp_path):
+    path = str(tmp_path / "absent.cfg")
+    with pytest.raises(MedlatinError, match=f"^{re.escape(path)}: cannot read \\("):
+        load_registry(path)
 
 
 def test_load_dataset_decode_error_names_path_and_line(tmp_path):

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlatin import lemmatizer, tagger
-from medlatin.conllu import TASKS, Document, serialize
+from medlatin.analysis import lemma_error_pairs, pos_confusions
+from medlatin.conllu import TASKS, Document, Sentence, Token, serialize
 from medlatin.errors import MedlatinError
-from medlatin.evaluation import EvalReport, Mismatch, check_alignment, evaluate
+from medlatin.evaluation import AlignmentMismatch, EvalReport, evaluate
 from medlatin.registry import (EFONTES_GENRE, UD_TREEBANK, DatasetDescriptor, Registry,
                                load_dataset, load_registry, make_cv_splits,
                                reference_registry)
@@ -109,8 +110,8 @@ def old_plan(scenario: Scenario, registry: Registry) -> RunPlan:
             raise MissingDataset("scenario 'ud_plus_specific' needs genre datasets to test on")
         if scenario.ud_name is not None:
             if scenario.ud_name not in ud_sets:
-                raise MissingDataset(
-                    f"{scenario.ud_name!r} is not a registered UD treebank")
+                raise MissingDataset(f"scenario 'ud_plus_specific' needs a registered "
+                                     f"UD treebank, not {scenario.ud_name!r}")
             selected = [scenario.ud_name]
         else:
             selected = ud_sets
@@ -413,24 +414,126 @@ def reference_field_value(token, field):
     raise ValueError(f"unknown field {field!r}")
 
 
+def reference_check_alignment(gold, predicted):
+    """check_alignment as it was before it returned the tokens, kept as the reference."""
+    if len(gold.sentences) != len(predicted.sentences):
+        raise AlignmentMismatch(
+            "document", f"{len(gold.sentences)} gold vs {len(predicted.sentences)} "
+            "predicted sentences")
+    for s_idx, (g_sent, p_sent) in enumerate(zip(gold.sentences, predicted.sentences)):
+        if len(g_sent.tokens) != len(p_sent.tokens):
+            raise AlignmentMismatch(
+                f"sentence {s_idx}", f"{len(g_sent.tokens)} gold vs "
+                f"{len(p_sent.tokens)} predicted tokens")
+        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
+            if g_tok.form != p_tok.form:
+                raise AlignmentMismatch(
+                    f"sentence {s_idx}, token {g_tok.id}",
+                    f"form {g_tok.form!r} vs {p_tok.form!r}")
+
+
 def reference_evaluate(gold, predicted, fields=("upos", "ufeats", "lemma")):
-    """evaluate as it was before the task table, kept as the reference."""
-    check_alignment(gold, predicted)
+    """evaluate as it was before the task table, counting matches per field,
+    kept as the reference."""
+    reference_check_alignment(gold, predicted)
     total = gold.token_count()
     matches = {f: 0 for f in fields}
-    mismatches = []
-    for s_idx, (g_sent, p_sent) in enumerate(zip(gold.sentences, predicted.sentences)):
+    for g_sent, p_sent in zip(gold.sentences, predicted.sentences):
         for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
             for f in fields:
-                g_val = reference_field_value(g_tok, f)
-                p_val = reference_field_value(p_tok, f)
-                if g_val == p_val:
+                if reference_field_value(g_tok, f) == reference_field_value(p_tok, f):
                     matches[f] += 1
-                else:
-                    mismatches.append(Mismatch(s_idx, g_tok.id, f, g_val, p_val))
     accuracy = {f: (Decimal(100 * matches[f]) / Decimal(total)).quantize(
-        Decimal("0.01"), rounding=ROUND_HALF_UP) for f in fields}
-    return EvalReport(accuracy, total, tuple(mismatches))
+        Decimal("0.01"), rounding=ROUND_HALF_UP) if total else Decimal("0.00")
+        for f in fields}
+    return EvalReport(accuracy, total, matches)
+
+
+def reference_lemma_error_pairs(gold, predicted, include_sym=False):
+    """lemma_error_pairs as it was before check_alignment returned the tokens."""
+    reference_check_alignment(gold, predicted)
+    pairs = []
+    for g_sent, p_sent in zip(gold.sentences, predicted.sentences):
+        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
+            if g_tok.upos == "SYM" and not include_sym:
+                continue
+            if g_tok.lemma.lower() != p_tok.lemma.lower():
+                pairs.append((g_tok.lemma.lower(), p_tok.lemma.lower()))
+    return pairs
+
+
+def reference_pos_confusions(gold, predicted):
+    """pos_confusions as it was before check_alignment returned the tokens."""
+    reference_check_alignment(gold, predicted)
+    matrix = {}
+    for g_sent, p_sent in zip(gold.sentences, predicted.sentences):
+        for g_tok, p_tok in zip(g_sent.tokens, p_sent.tokens):
+            if g_tok.upos != p_tok.upos:
+                key = (g_tok.upos, p_tok.upos)
+                matrix[key] = matrix.get(key, 0) + 1
+    return matrix
+
+
+_PAIR_FORMS = st.sampled_from(("arma", "uirum", "cano", "Æneas"))
+_PAIR_LABELS = st.tuples(
+    st.sampled_from(("arma", "Arma", "uir", "ÆNEAS", "æneas", "_")),
+    st.sampled_from(("NOUN", "VERB", "SYM", "PROPN")),
+    st.sampled_from(((), (("Case", "Nom"),), (("Case", "Acc"), ("Number", "Sing")))))
+
+
+@st.composite
+def document_pairs(draw):
+    """A gold and a predicted document with independently drawn labels: about
+    half keep the gold forms and sentence shape, the rest take one to three
+    edits (a form swapped, a token or a sentence added or dropped)."""
+    gold_forms = draw(st.lists(st.lists(_PAIR_FORMS, min_size=1, max_size=5), max_size=4))
+    pred_forms = [list(sentence) for sentence in gold_forms]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        edit = draw(st.sampled_from(("form", "add_token", "drop_token",
+                                     "add_sentence", "drop_sentence")))
+        if edit == "add_sentence" or not pred_forms:
+            pred_forms.insert(draw(st.integers(0, len(pred_forms))), [draw(_PAIR_FORMS)])
+            continue
+        s_idx = draw(st.integers(0, len(pred_forms) - 1))
+        sentence = pred_forms[s_idx]
+        if edit == "drop_sentence":
+            del pred_forms[s_idx]
+        elif edit == "add_token":
+            sentence.insert(draw(st.integers(0, len(sentence))), draw(_PAIR_FORMS))
+        elif sentence:
+            t_idx = draw(st.integers(0, len(sentence) - 1))
+            if edit == "drop_token":
+                del sentence[t_idx]
+            else:
+                sentence[t_idx] = draw(_PAIR_FORMS)
+
+    def document(forms, name):
+        return Document(tuple(Sentence(tuple(Token(i + 1, form, *draw(_PAIR_LABELS))
+                                             for i, form in enumerate(sentence)))
+                              for sentence in forms), name)
+
+    return document(gold_forms, "g"), document(pred_forms, "p")
+
+
+def _result(func, *args):
+    try:
+        return func(*args)
+    except AlignmentMismatch as exc:
+        return "AlignmentMismatch", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=document_pairs(),
+       fields=st.lists(st.sampled_from(tuple(TASKS)), unique=True).map(tuple),
+       include_sym=st.booleans())
+def test_aligned_pair_walks_match_references(pair, fields, include_sym):
+    gold, predicted = pair
+    assert (_result(evaluate, gold, predicted, fields)
+            == _result(reference_evaluate, gold, predicted, fields))
+    assert (_result(lemma_error_pairs, gold, predicted, include_sym)
+            == _result(reference_lemma_error_pairs, gold, predicted, include_sym))
+    assert (_result(pos_confusions, gold, predicted)
+            == _result(reference_pos_confusions, gold, predicted))
 
 
 @pytest.mark.parametrize("task", ["upos", "ufeats", "lemma"])
@@ -450,5 +553,5 @@ def test_predict_and_evaluate_match_reference(mini_registry, task):
         for fields in (("upos", "ufeats", "lemma"), (task,)):
             report = evaluate(gold, predicted, fields)
             assert report == reference_evaluate(gold, predicted, fields)
-        errors += len(report.mismatches)
+        errors += report.token_count - report.matches[task]
     assert errors  # the models are not perfect, so labels were really written

@@ -206,7 +206,7 @@ def test_model_files_identical_for_identical_training(tmp_path, toy_corpus):
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_model(train(toy_corpus, "upos", epochs=2, seed=5), p1)
     save_model(train(toy_corpus, "upos", epochs=2, seed=5), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_closed_set_prediction(toy_corpus):
