@@ -3,7 +3,7 @@ lemmatization, part-of-speech tagging and morphological features.
 
 The package is organized one module per pipeline stage:
 
-    conllu      CoNLL-U data model, parser, serializer, validator
+    conllu      CoNLL-U data model, parser, serializer
     registry    dataset catalog, statistics, cross-validation splits
     normalize   orthographic rewrite rules (predicted -> gold conventions)
     tagger      averaged-perceptron UPOS / UFeats tagger with staged training
@@ -16,10 +16,10 @@ The package is organized one module per pipeline stage:
 
 __version__ = "0.1.0"
 
-from .conllu import Document, Sentence, Token, parse_conllu, serialize, validate
+from .conllu import Document, Sentence, Token, parse_conllu, serialize
 from .errors import MedlatinError
 
 __all__ = [
     "Document", "Sentence", "Token", "MedlatinError",
-    "parse_conllu", "serialize", "validate", "__version__",
+    "parse_conllu", "serialize", "__version__",
 ]

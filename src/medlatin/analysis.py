@@ -56,9 +56,6 @@ class GenreErrorDistribution:
     counts: dict[str, int]
     shares: dict[str, float] | None  # None when there are no errors at all
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def align_chars(gold: str, pred: str) -> list[AlignmentOp]:
     """Minimum-edit-distance alignment with deterministic traceback."""
@@ -93,10 +90,6 @@ def align_chars(gold: str, pred: str) -> list[AlignmentOp]:
             j = j - 1
     ops.reverse()
     return ops
-
-
-def alignment_cost(ops: list[AlignmentOp]) -> int:
-    return sum(1 for op in ops if op.op != MATCH)
 
 
 def extract_patterns(gold: str, pred: str) -> list[tuple[str, str, str]]:

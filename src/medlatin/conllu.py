@@ -1,4 +1,4 @@
-"""CoNLL-U parsing, validation and serialization.
+"""CoNLL-U parsing and serialization.
 
 Single source of truth for the token data model used across the toolkit:
 ten tab-separated columns, '#' comment lines, blank-line sentence
@@ -106,13 +106,6 @@ class Document:
         return sum(len(s.tokens) for s in self.sentences)
 
 
-@dataclass(frozen=True)
-class Violation:
-    sent_index: int
-    token_id: int
-    rule: str
-
-
 def feats_from_string(raw: str, line_no: int) -> tuple[tuple[str, str], ...]:
     """Parse a FEATS column into canonical (sorted, unique-key) pairs."""
     if raw == "_":
@@ -192,6 +185,8 @@ def parse_conllu(text: str, source_name: str = "<string>",
     def flush() -> None:
         nonlocal comments, tokens
         if not tokens:
+            if comments:
+                raise MalformedLine(first_comment_line, "comment lines not followed by a sentence")
             return
         sent_index = len(sentences)
         for pos, tok in enumerate(tokens):
@@ -243,8 +238,6 @@ def parse_conllu(text: str, source_name: str = "<string>",
         tokens.append(Token(int(raw_id), form, lemma, upos, ufeats, misc,
                             (xpos, head, deprel, deps)))
     flush()
-    if comments:
-        raise MalformedLine(first_comment_line, "comment lines not followed by a sentence")
 
     provenance = ()
     if dropped:
@@ -278,32 +271,6 @@ def serialize(doc: Document) -> str:
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
-
-
-def validate(doc: Document) -> list[Violation]:
-    """Check every invariant of the data model; empty list iff the document is clean.
-
-    Directly constructed documents can breach invariants that parse_conllu
-    enforces (duplicate feature keys, gaps in ids, bad UPOS); this reports
-    one Violation per breach with the sentence index, token id and rule name.
-    """
-    violations = []
-    for s_idx, sentence in enumerate(doc.sentences):
-        if not sentence.tokens:
-            violations.append(Violation(s_idx, 0, "EmptySentence"))
-        for pos, tok in enumerate(sentence.tokens):
-            if tok.id != pos + 1:
-                violations.append(Violation(s_idx, tok.id, "NonConsecutiveIds"))
-            if tok.form == "":
-                violations.append(Violation(s_idx, tok.id, "EmptyForm"))
-            if tok.upos not in UPOS_TAGS:
-                violations.append(Violation(s_idx, tok.id, "InvalidUpos"))
-            keys = [k for k, _ in tok.ufeats]
-            if len(set(keys)) != len(keys):
-                violations.append(Violation(s_idx, tok.id, "DuplicateFeatKey"))
-            elif keys != sorted(keys):
-                violations.append(Violation(s_idx, tok.id, "UnsortedFeatKeys"))
-    return violations
 
 
 def concat_documents(docs: list[Document], source_name: str) -> Document:

@@ -157,9 +157,16 @@ def write_file(path: str, chunks) -> None:
 
     A symlink is followed, so its target is replaced and the link stays,
     and an existing file keeps its mode.  A path that exists but is not a
-    regular file, such as /dev/stdout or a pipe, is written in place.
+    regular file, such as /dev/stdout or a pipe, is written in place.  An
+    OSError becomes a MedlatinError that starts with the path as given.
     """
-    path = os.path.realpath(path)
+    try:
+        _write_file(os.path.realpath(path), chunks)
+    except OSError as exc:
+        raise MedlatinError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+
+
+def _write_file(path: str, chunks) -> None:
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:

@@ -56,9 +56,6 @@ class LemmaQuery(NamedTuple):
     form: str
     upos: str
 
-    def wire(self) -> str:
-        return f"{self.form}:{self.upos}"
-
 
 class EditScript(NamedTuple):
     """Positional transformation from an inflected form to its lemma.
@@ -74,9 +71,6 @@ class EditScript(NamedTuple):
     strip_suffix_len: int = 0
     suffix_add: str = ""
     interior_edits: tuple[tuple[int, str, str], ...] = ()
-
-    def is_identity(self) -> bool:
-        return self == EditScript()
 
 
 def derive_edit_script(form: str, lemma: str) -> EditScript:

@@ -9,8 +9,8 @@ directional, predicted -> gold; no inverse property is claimed.
 k/c alternation, h insertion or omission, and ae/oe diphthong restoration
 are deliberately NOT shipped as blanket rules: those alternations are
 word-specific (karitas:caritas but kalendae stays kalendae), so a blanket
-rewrite would create new errors.  They can be enabled via mined,
-lexicon-backed rules (see mine_rules) with exception lists.
+rewrite would create new errors.  A ruleset file can still carry such a
+rule, with an exception list of the words it must not touch.
 
 Ruleset file format, one rule per line:
 
@@ -60,12 +60,6 @@ class Ruleset:
         ids = [r.rule_id for r in self.rules]
         if len(set(ids)) != len(ids):
             raise ValueError("rule_ids must be unique within a ruleset")
-
-    def find(self, rule_id: str) -> RewriteRule | None:
-        for r in self.rules:
-            if r.rule_id == rule_id:
-                return r
-        return None
 
 
 def _apply_one(rule: RewriteRule, word: str) -> str:
@@ -138,37 +132,3 @@ def parse_ruleset(text: str, name: str = "<string>") -> Ruleset:
         except ValueError as exc:
             raise RulesetFormatError(f"{name}: line {line_no}: {exc}") from exc
     return Ruleset(tuple(rules), name)
-
-
-def serialize_ruleset(ruleset: Ruleset) -> str:
-    lines = []
-    for r in ruleset.rules:
-        lines.append("\t".join((
-            r.rule_id, r.pattern, r.replacement, r.position, ",".join(sorted(r.exceptions)),
-        )))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def mine_rules(confusions: list, min_count: int = 1) -> Ruleset:
-    """Turn mined confusion patterns into corrective rules (predicted -> gold).
-
-    One rule per pattern with count >= min_count, ordered by descending
-    count (ties by position then pattern text).  Patterns whose predicted
-    side is empty are skipped: a pure insertion has no substring to anchor
-    a rewrite on.
-    """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    usable = [c for c in confusions if c.count >= min_count and c.pred_sub]
-    usable.sort(key=lambda c: (-c.count, c.position, c.pred_sub, c.gold_sub))
-    rules = []
-    seen_ids = set()
-    for c in usable:
-        if c.pred_sub == c.gold_sub:
-            continue
-        rule_id = f"mined_{c.pred_sub}_to_{c.gold_sub or 'nothing'}_{c.position}"
-        if rule_id in seen_ids:
-            continue
-        seen_ids.add(rule_id)
-        rules.append(RewriteRule(rule_id, c.pred_sub, c.gold_sub, c.position))
-    return Ruleset(tuple(rules), name=f"mined_min{min_count}")

@@ -87,9 +87,13 @@ class Registry:
     """Immutable, ordered collection of dataset descriptors."""
 
     def __init__(self, datasets: list[DatasetDescriptor]):
-        names = [d.name for d in datasets]
-        if len(set(names)) != len(names):
-            raise RegistryConfigError("duplicate dataset name in registry")
+        seen: dict[str, str] = {}  # lowercased name -> name; run ids lowercase names
+        for d in datasets:
+            if d.name.lower() in seen:
+                raise RegistryConfigError(f"dataset {d.name!r} clashes with "
+                                          f"{seen[d.name.lower()]!r} (names must differ in "
+                                          "more than case)")
+            seen[d.name.lower()] = d.name
         self._datasets = tuple(datasets)
         self._by_name = {d.name: d for d in datasets}
 
@@ -196,18 +200,12 @@ def load_registry(path: str) -> Registry:
 def _registry_from_parser(parser: configparser.ConfigParser, base_dir: str,
                           origin: str) -> Registry:
     datasets = []
-    names: dict[str, str] = {}  # lowercased name -> name; run ids lowercase names
     for section in parser.sections():
         if not section.startswith("dataset:"):
             raise RegistryConfigError(f"{origin}: unexpected section [{section}]")
         name = section.split(":", 1)[1].strip()
         if not name:
             raise RegistryConfigError(f"{origin}: empty dataset name in [{section}]")
-        if name.lower() in names:
-            raise RegistryConfigError(f"{origin}: dataset {name!r} clashes with "
-                                      f"{names[name.lower()]!r} (names must differ in more "
-                                      "than case)")
-        names[name.lower()] = name
         kind = parser.get(section, "kind", fallback="").strip()
         if kind not in (UD_TREEBANK, EFONTES_GENRE):
             raise RegistryConfigError(
@@ -241,7 +239,11 @@ def _registry_from_parser(parser: configparser.ConfigParser, base_dir: str,
                 raise RegistryConfigError(f"{origin}: dataset {name!r} declares "
                                           f"{declared.tokens} tokens across 0 sentences")
         datasets.append(DatasetDescriptor(name, kind, tuple(paths), declared))
-    return Registry(datasets)
+    try:
+        return Registry(datasets)
+    except RegistryConfigError as exc:
+        exc.args = (f"{origin}: {exc}",)
+        raise
 
 
 def reference_registry() -> Registry:

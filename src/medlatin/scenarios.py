@@ -204,11 +204,20 @@ def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None
     """Train each run, evaluate it on its test sets and save its model, one
     run at a time; then merge every run's rows into the results store.
 
-    If a run fails, the models of the runs before it stay saved and the
-    results store is left as it was.  Returns the result grid keyed
+    The validation fraction and the models directory are checked before
+    the first run trains.  If a run fails, the models of the runs before it
+    stay saved and the results store is left as it was.  Returns the result grid keyed
     (scenario label, genre, task).  Two executions with the same arguments
     produce identical grids and byte-identical files.
     """
+    split_for_validation((), validation_fraction)  # raises for a fraction out of range
+    if output_dir is not None:
+        models_dir = os.path.join(output_dir, "models")
+        try:
+            os.makedirs(models_dir, exist_ok=True)
+        except OSError as exc:
+            raise MedlatinError(f"{output_dir}: cannot create {models_dir} "
+                                f"({exc.strerror or exc})") from exc
     rows: list[ResultRow] = []
     for run in run_plan.runs:
         try:
@@ -224,8 +233,6 @@ def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None
             exc.args = (f"run {run.run_id!r}: {exc}",)
             raise
         if output_dir is not None:
-            models_dir = os.path.join(output_dir, "models")
-            os.makedirs(models_dir, exist_ok=True)
             path = os.path.join(models_dir, f"{run.run_id}.json")
             (tagger_mod if TASKS[run.task].tagger else lemmatizer_mod).save_model(model, path)
     if output_dir is not None:

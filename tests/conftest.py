@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from medlatin.analysis import MATCH
 from medlatin.conllu import Document, Sentence, Token
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -9,6 +10,11 @@ ROUNDTRIP_DIR = os.path.join(FIXTURES, "roundtrip")
 MINI_DIR = os.path.join(FIXTURES, "mini")
 MINI_REGISTRY = os.path.join(MINI_DIR, "registry.cfg")
 TOY_CORPUS = os.path.join(FIXTURES, "toy_suffix_tags.conllu")
+
+
+def alignment_cost(ops) -> int:
+    """The number of edits in an align_chars alignment."""
+    return sum(1 for op in ops if op.op != MATCH)
 
 
 def feats(spec: str) -> tuple:

@@ -11,7 +11,7 @@ import string
 import time
 from decimal import ROUND_HALF_UP, Decimal
 
-from medlatin.analysis import align_chars, alignment_cost, mine_confusions
+from medlatin.analysis import align_chars, mine_confusions
 from medlatin.cli import run_cli
 from medlatin.conllu import Document, Sentence, Token, parse_conllu, serialize
 from medlatin.evaluation import evaluate
@@ -23,7 +23,7 @@ from medlatin.registry import (load_dataset, load_registry,
 from medlatin.scenarios import (Scenario, compare, execute, plan)
 from medlatin.tagger import tag, train
 
-from conftest import MINI_REGISTRY, ROUNDTRIP_DIR, TOY_CORPUS
+from conftest import MINI_REGISTRY, ROUNDTRIP_DIR, TOY_CORPUS, alignment_cost
 
 
 def _report(number: int, name: str, ok: bool) -> None:

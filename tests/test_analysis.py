@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlatin.analysis import (DEL, INS, MATCH, SUB, ConfusionPattern, IdenticalStrings,
-                               align_chars, alignment_cost, extract_patterns,
+                               align_chars, extract_patterns,
                                genre_distribution, lemma_error_pairs,
                                mine_confusions, pos_confusions)
 from medlatin.evaluation import evaluate
-from conftest import simple_doc
+from conftest import alignment_cost, simple_doc
 
 
 def ops(gold, pred):

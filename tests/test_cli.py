@@ -155,7 +155,14 @@ def test_corpus_validate_tolerance_flag(capsys):
 def test_corpus_check_reports_violations(tmp_path, capsys):
     f = tmp_path / "ok.conllu"
     f.write_text(GOLD, encoding="utf-8")
-    assert run_cli(["corpus", "check", "--in", str(f)]) == 0
+    assert run_cli(["--machine", "corpus", "check", "--in", str(f)]) == 0
+    assert capsys.readouterr().out == "#format=medlatin.corpus.check.v1\nsentence\ttoken\trule\n"
+    f.write_text(GOLD + "# orphan\n\n", encoding="utf-8")
+    assert run_cli(["--machine", "corpus", "check", "--in", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: MalformedLine: {f}: line 4: "
+                            "comment lines not followed by a sentence\n")
 
 
 def test_normalize_cli(tmp_path, capsys):
@@ -566,19 +573,57 @@ def test_non_integer_config_value_is_usage_error(tmp_path, capsys, line):
     assert f"{cfg}: config key {key!r} must be an integer, not {value!r}" in capsys.readouterr().err
 
 
+EPOCHS_ARGVS = [
+    ["tagger", "train", "--task", "upos", "--in", "missing.conllu", "--out", "out",
+     "--epochs"],
+    ["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
+     "--out", "out", "--epochs"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["corpus", "validate", "--tolerance"],
     ["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
      "--out", "out", "--validation-fraction"],
-], ids=["tolerance", "validation-fraction"])
+    *EPOCHS_ARGVS,
+], ids=["tolerance", "validation-fraction", "tagger-epochs", "scenario-epochs"])
 @pytest.mark.parametrize("value", ["abc", "nan", "Infinity"])
 def test_non_finite_decimal_option_is_usage_error(tmp_path, capsys, monkeypatch, argv, value):
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv + [value]) == 2
     err = capsys.readouterr().err
-    assert f"{argv[-1]}: {value!r} is not a finite decimal" in err
+    kind = "non-negative integer" if argv[-1] == "--epochs" else "finite decimal"
+    assert f"{argv[-1]}: {value!r} is not a {kind}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", EPOCHS_ARGVS, ids=["tagger", "scenario"])
+def test_negative_epochs_is_usage_error_before_any_data_loads(tmp_path, capsys, monkeypatch,
+                                                              argv):
+    monkeypatch.chdir(tmp_path)  # tagger train's --in names a file that does not exist
+    assert run_cli(argv + ["-1"]) == 2
+    assert "argument --epochs: '-1' is not a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_under_a_missing_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "tagged.conllu"
+    assert run_cli(["normalize", "--in", TOY_CORPUS, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: MedlatinError: {out}: cannot write (No such file or directory)\n"
+
+
+def test_scenario_run_out_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "results"
+    out.write_text("not a directory\n", encoding="utf-8")
+    monkeypatch.setattr("medlatin.scenarios._train_stages",
+                        lambda *args: pytest.fail("trained before checking --out"))
+    assert run_cli(["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
+                    "--tasks", "upos", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MedlatinError: {out}: cannot create {out / 'models'} (")
+    assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_validation_fraction_out_of_range_creates_no_out_dir(tmp_path, capsys):

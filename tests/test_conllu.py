@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from medlatin.conllu import (UPOS_TAGS, Document, InvalidUpos, MalformedLine,
                              NonConsecutiveIds, Sentence, Token,
                              UnsupportedToken, feats_from_string, parse_conllu,
-                             read_conllu, serialize, validate)
+                             read_conllu, serialize)
 from medlatin.errors import MedlatinError
 
 from conftest import ROUNDTRIP_DIR, doc, sent, tok
@@ -109,6 +109,9 @@ def test_non_consecutive_ids():
 def test_orphan_comments_rejected():
     with pytest.raises(MalformedLine):
         parse_conllu("# stray comment\n\n")
+    with pytest.raises(MalformedLine,
+                       match="^line 1: comment lines not followed by a sentence$"):
+        parse_conllu("# sent_id = a\n# text = x\n\n1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n")
 
 
 def test_roundtrip_minimal_byte_exact():
@@ -201,35 +204,6 @@ def test_random_documents_roundtrip(d):
     parsed = parse_conllu(text)
     assert parsed.sentences == d.sentences
     assert serialize(parsed) == text
-    assert validate(parsed) == []
-
-
-def test_validate_clean_document():
-    assert validate(parse_conllu(MINIMAL)) == []
-
-
-def test_validate_duplicate_feat_key_direct_construction():
-    bad = doc(sent(Token(1, "arma", "arma", "NOUN", (("Case", "Nom"), ("Case", "Acc")))))
-    rules = [v.rule for v in validate(bad)]
-    assert rules == ["DuplicateFeatKey"]
-
-
-def test_validate_unsorted_feat_keys():
-    bad = doc(sent(Token(1, "arma", "arma", "NOUN", (("Number", "Sing"), ("Case", "Nom")))))
-    rules = [v.rule for v in validate(bad)]
-    assert rules == ["UnsortedFeatKeys"]
-
-
-def test_validate_invalid_upos():
-    bad = doc(sent(Token(1, "arma", "arma", "NN")))
-    violations = validate(bad)
-    assert [(v.sent_index, v.token_id, v.rule) for v in violations] == [(0, 1, "InvalidUpos")]
-
-
-def test_validate_gap_in_ids_and_empty_form():
-    bad = doc(sent(Token(1, "a", "a", "NOUN"), Token(3, "", "b", "NOUN")))
-    rules = {v.rule for v in validate(bad)}
-    assert rules == {"NonConsecutiveIds", "EmptyForm"}
 
 
 # Reference implementation: the parser before the FEATS table and the
@@ -246,6 +220,8 @@ def reference_parse_conllu(text, source_name="<string>", drop_unsupported=False)
     def flush():
         nonlocal comments, tokens
         if not tokens:
+            if comments:
+                raise MalformedLine(first_comment_line, "comment lines not followed by a sentence")
             return
         sent_index = len(sentences)
         for pos, token in enumerate(tokens):
@@ -295,8 +271,6 @@ def reference_parse_conllu(text, source_name="<string>", drop_unsupported=False)
             extra_cols=(fields[4], fields[6], fields[7], fields[8]),
         ))
     flush()
-    if comments:
-        raise MalformedLine(first_comment_line, "comment lines not followed by a sentence")
     provenance = (f"dropped {dropped} unsupported token line(s)",) if dropped else ()
     return Document(tuple(sentences), source_name, provenance)
 
@@ -350,6 +324,8 @@ def conllu_texts(draw):
               "2\tb\tb\tNOUN\t_\tB=2|A=1\t_\t_\t_\t_\n\n", drop_unsupported=False)
 @example(text="1-2\tdelle\t_\t_\t_\t_\t_\t_\t_\t_\n1\tde\tde\tADP\t_\t_\t_\t_\t_\t_\n"
               "1.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n\n", drop_unsupported=True)
+@example(text="# sent_id = a\n# text = x\n\n1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n",
+         drop_unsupported=False)
 def test_parse_conllu_matches_reference(text, drop_unsupported):
     assert (parse_outcome(parse_conllu, text, drop_unsupported)
             == parse_outcome(reference_parse_conllu, text, drop_unsupported))

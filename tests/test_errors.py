@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlatin import errors
-from medlatin.errors import (JSONItems, json_entries, json_row, json_string,
+from medlatin.errors import (JSONItems, MedlatinError, json_entries, json_row, json_string,
                              write_file, write_model_file)
 
 
@@ -114,7 +114,7 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, failure):
             write_model_file(str(path), {"format": "new", "rows": ["\ud800"]})
     else:
         monkeypatch.setattr(errors.os, "replace", _fail_replace)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(MedlatinError, match=r"cannot write \(disk full\)$"):
             write_file(str(path), ["new content\n"])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]

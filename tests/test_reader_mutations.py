@@ -44,7 +44,8 @@ QUERIES = "terram:NOUN\nVidet:VERB\n.:PUNCT\n"
 # Per reader: the argv lists that read the mutated file MUT, and whether it
 # is a JSON model file.
 READERS = {
-    "conllu": ([["eval", "--gold", "GOLD", "--pred", "MUT"]], False),
+    "conllu": ([["eval", "--gold", "GOLD", "--pred", "MUT"], ["corpus", "check", "--in", "MUT"]],
+               False),
     "tagger-model": ([["tagger", "tag", "--model", "MUT", "--in", "GOLD", "--out", "OUT"],
                       ["tagger", "train", "--task", "upos", "--epochs", "1", "--base", "MUT",
                        "--in", "GOLD", "--out", "OUT"]], True),

@@ -163,6 +163,14 @@ def test_registry_rejects_duplicate_names():
                   DatasetDescriptor("X", "ud_treebank")])
 
 
+def test_registry_rejects_names_that_differ_only_in_case():
+    from medlatin.registry import DatasetDescriptor
+    with pytest.raises(RegistryConfigError, match="^dataset 'annals' clashes with 'Annals' "
+                       r"\(names must differ in more than case\)$"):
+        Registry([DatasetDescriptor("Annals", "efontes_genre"),
+                  DatasetDescriptor("annals", "efontes_genre")])
+
+
 def test_registry_config_rejects_unknown_kind(tmp_path):
     cfg = tmp_path / "reg.cfg"
     cfg.write_text("[dataset:X]\nkind = mystery\n", encoding="utf-8")
