@@ -241,36 +241,28 @@ def cmd_lemmatize_run(args) -> int:
 
 # -------------------------------------------------------------- scenario
 
-def _scenarios_from_args(args) -> list[scenarios_mod.Scenario]:
+def _runs_from_args(args, registry: Registry) -> list[scenarios_mod.TrainingRun]:
+    """The runs of every selected kind, all planned before any run trains."""
     if args.scenario is None:
         raise UsageError("a scenario kind is required (--scenario or config key 'scenario')")
     if args.scenario != "all" and args.scenario not in scenarios_mod.SCENARIO_KINDS:
         raise UsageError(f"unknown scenario {args.scenario!r}")
     tasks = _task_names(args.tasks, "--tasks") if args.tasks else tuple(TASKS)
     kinds = list(scenarios_mod.SCENARIO_KINDS) if args.scenario == "all" else [args.scenario]
-    return [scenarios_mod.Scenario(kind, tasks, args.ud if kind == "ud_plus_specific" else None)
-            for kind in kinds]
+    return [run for kind in kinds for run in scenarios_mod.plan(scenarios_mod.Scenario(
+        kind, tasks, args.ud if kind == "ud_plus_specific" else None), registry).runs]
 
 
 def cmd_scenario_plan(args) -> int:
-    registry = _registry_from_args(args)
-    rows = []
-    total_runs = 0
-    total_evals = 0
-    for scenario in _scenarios_from_args(args):
-        run_plan = scenarios_mod.plan(scenario, registry)
-        total_runs += len(run_plan.runs)
-        total_evals += run_plan.evaluation_count()
-        for run in run_plan.runs:
-            rows.append([
-                run.run_id, run.scenario_label, run.task,
-                " -> ".join("+".join(stage) for stage in run.stages),
-                ",".join(run.test_datasets),
-            ])
+    runs = _runs_from_args(args, _registry_from_args(args))
+    rows = [[run.run_id, run.scenario_label, run.task,
+             " -> ".join("+".join(stage) for stage in run.stages), ",".join(run.test_datasets)]
+            for run in runs]
     _emit_table(args, "scenario.plan",
                 ["run_id", "scenario", "task", "stages", "tests"], rows)
     if not args.machine:
-        sys.stdout.write(f"{total_runs} runs, {total_evals} evaluations\n")
+        evaluations = sum(len(run.test_datasets) for run in runs)
+        sys.stdout.write(f"{len(runs)} runs, {evaluations} evaluations\n")
     return 0
 
 
@@ -279,16 +271,14 @@ def cmd_scenario_run(args) -> int:
     out_dir = args.out or args.output_dir
     if out_dir is None:
         raise MedlatinError("scenario run needs an output directory (--out or config output_dir)")
-    grid: dict = {}
-    for scenario in _scenarios_from_args(args):
-        run_plan = scenarios_mod.plan(scenario, registry)
-        log.info("executing %s: %d runs", scenario.kind, len(run_plan.runs))
-        grid.update(scenarios_mod.execute(
-            run_plan, registry, output_dir=out_dir, epochs=args.epochs,
-            validation_fraction=args.validation_fraction, base_seed=args.seed,
-            drop_unsupported=args.drop_unsupported))
-    rows = [[scenario, genre, task, str(acc)]
-            for (scenario, genre, task), acc in sorted(grid.items())]
+    runs = _runs_from_args(args, registry)
+    log.info("executing %d runs", len(runs))
+    results = scenarios_mod.execute(
+        runs, registry, out_dir, epochs=args.epochs,
+        validation_fraction=args.validation_fraction, base_seed=args.seed,
+        drop_unsupported=args.drop_unsupported)
+    rows = [[r.scenario, r.genre, r.task, str(r.accuracy)]
+            for r in sorted(results, key=lambda r: (r.scenario, r.genre, r.task))]
     _emit_table(args, "scenario.run", ["scenario", "genre", "task", "accuracy"], rows)
     return 0
 
@@ -297,7 +287,7 @@ def cmd_scenario_compare(args) -> int:
     rows = scenarios_mod.read_results_file(args.results)
     if not rows:
         raise MedlatinError(f"{args.results}: no result rows to compare")
-    report = scenarios_mod.compare(scenarios_mod.grid_from_rows(rows))
+    report = scenarios_mod.compare(rows)
     if args.machine:
         machine_rows = [
             [e.scenario, e.genre, e.task, str(e.accuracy),

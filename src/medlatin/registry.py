@@ -56,6 +56,10 @@ class RegistryConfigError(MedlatinError):
     pass
 
 
+class OutOfRange(MedlatinError, ValueError):
+    """A numeric argument outside its range; a ValueError too, as it was."""
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     tokens: int
@@ -141,7 +145,7 @@ def validate_stats(declared: CorpusStats, tolerance: Decimal | str | float = "0.
     """
     tol = Decimal(str(tolerance))
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise OutOfRange(f"tolerance must be positive, not {tolerance}")
     if declared.sentences == 0:
         if declared.tokens > 0:
             raise DivisionByZero(
@@ -169,7 +173,7 @@ def split_for_validation(sentences: tuple[Sentence, ...],
     """
     f = float(Decimal(str(fraction)))
     if not 0.0 < f < 1.0:
-        raise ValueError("validation_fraction must lie in (0, 1)")
+        raise OutOfRange(f"validation_fraction must lie in (0, 1), not {fraction}")
     k = max(2, round(1.0 / f))
     train = tuple(s for i, s in enumerate(sentences) if (i + 1) % k != 0)
     val = tuple(s for i, s in enumerate(sentences) if (i + 1) % k == 0)

@@ -18,9 +18,11 @@ On the canonical registry (5 genres, 5 treebanks, 3 tasks) this yields
 ud_plus_specific alone.
 
 Execution is deterministic: per-run seeds derive from the run id, stages
-continue from the previous stage's model, every trained model is persisted
-with its provenance, and the results store rewrites rows keyed by
-(run_id, test genre) so re-runs replace rather than duplicate.
+continue from the previous stage's model, and every trained model is
+persisted with its provenance.  execute takes the runs of the whole grid
+at once and returns one ResultRow per (run, test genre), the one result
+record: the results store holds rows keyed by (run_id, genre, task), so
+re-runs replace rather than duplicate, and compare reads them.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ RESULTS_HEADER = "run_id\tscenario\tgenre\ttask\taccuracy"
 
 class MissingDataset(MedlatinError):
     pass
+
+
+class LabelClash(MedlatinError):
+    """A UD treebank whose ud_plus_specific label is another kind's label."""
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,17 @@ def plan(scenario: Scenario, registry: Registry) -> RunPlan:
     if kind == "ud_plus_specific" and scenario.ud_name not in (None, *ud_sets):
         raise MissingDataset(
             f"scenario {kind!r} needs a registered UD treebank, not {scenario.ud_name!r}")
+    selected = ud_sets if scenario.ud_name is None else (scenario.ud_name,)
+    clash = [ud for ud in selected if ud.lower() == "efontes"]
+    if kind == "ud_plus_specific" and clash:
+        raise LabelClash(f"UD treebank {clash[0]!r} would label its ud_plus_specific runs "
+                         f"'ud_plus_efontes', the label of scenario 'ud_plus_efontes'")
     if held_out:
         folds = make_cv_splits(genres)
         runs = [TrainingRun(f"{kind}__{task}__{fold.test_dataset.lower()}", kind, task,
                             prefix + (fold.train_datasets,), (fold.test_dataset,))
                 for task in scenario.tasks for fold in folds]
     else:
-        selected = ud_sets if scenario.ud_name is None else (scenario.ud_name,)
         models = ([("ud_all", prefix)] if kind == "ud_all" else
                   [(f"ud_plus_{ud.lower()}", prefix + ((ud,),)) for ud in selected])
         runs = [TrainingRun(f"{label}__{task}", label, task, stages, tuple(genres))
@@ -197,29 +207,30 @@ def _train_stages(run: TrainingRun, registry: Registry, epochs: int,
     return model
 
 
-def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None,
+def execute(runs: list[TrainingRun], registry: Registry, output_dir: str,
             epochs: int = 5, validation_fraction: Decimal | str | float = "0.1",
-            base_seed: int = 0,
-            drop_unsupported: bool = False) -> dict[tuple[str, str, str], Decimal]:
+            base_seed: int = 0, drop_unsupported: bool = False) -> list[ResultRow]:
     """Train each run, evaluate it on its test sets and save its model, one
     run at a time; then merge every run's rows into the results store.
 
-    The validation fraction and the models directory are checked before
-    the first run trains.  If a run fails, the models of the runs before it
-    stay saved and the results store is left as it was.  Returns the result grid keyed
-    (scenario label, genre, task).  Two executions with the same arguments
-    produce identical grids and byte-identical files.
+    The validation fraction, the models directory and the results store's
+    lock file are checked before the first run trains.  If a run fails, the
+    models of the runs before it stay saved and the results store is left
+    as it was.  Returns one row per (run, test set), in run order.  Two
+    executions with the same arguments return equal rows and write
+    byte-identical files.
     """
     split_for_validation((), validation_fraction)  # raises for a fraction out of range
-    if output_dir is not None:
-        models_dir = os.path.join(output_dir, "models")
-        try:
-            os.makedirs(models_dir, exist_ok=True)
-        except OSError as exc:
-            raise MedlatinError(f"{output_dir}: cannot create {models_dir} "
-                                f"({exc.strerror or exc})") from exc
+    models_dir = os.path.join(output_dir, "models")
+    results_path = os.path.join(output_dir, "results.tsv")
+    try:
+        os.makedirs(models_dir, exist_ok=True)
+    except OSError as exc:
+        raise MedlatinError(f"{output_dir}: cannot create {models_dir} "
+                            f"({exc.strerror or exc})") from exc
+    _open_lock(results_path).close()
     rows: list[ResultRow] = []
-    for run in run_plan.runs:
+    for run in runs:
         try:
             model = _train_stages(run, registry, epochs, validation_fraction,
                                   base_seed, drop_unsupported)
@@ -232,12 +243,10 @@ def execute(run_plan: RunPlan, registry: Registry, output_dir: str | None = None
         except MedlatinError as exc:
             exc.args = (f"run {run.run_id!r}: {exc}",)
             raise
-        if output_dir is not None:
-            path = os.path.join(models_dir, f"{run.run_id}.json")
-            (tagger_mod if TASKS[run.task].tagger else lemmatizer_mod).save_model(model, path)
-    if output_dir is not None:
-        merge_results_file(os.path.join(output_dir, "results.tsv"), rows)
-    return grid_from_rows(rows)
+        path = os.path.join(models_dir, f"{run.run_id}.json")
+        (tagger_mod if TASKS[run.task].tagger else lemmatizer_mod).save_model(model, path)
+    merge_results_file(results_path, rows)
+    return rows
 
 
 def write_results_file(path: str, rows: list[ResultRow]) -> None:
@@ -271,6 +280,15 @@ def read_results_file(path: str) -> list[ResultRow]:
     return rows
 
 
+def _open_lock(path: str):
+    """The results store's lock file, path + ".lock", opened for appending;
+    an OSError becomes a MedlatinError naming the lock file."""
+    try:
+        return open(path + ".lock", "a")
+    except OSError as exc:
+        raise MedlatinError(f"{path}.lock: cannot open ({exc.strerror or exc})") from exc
+
+
 def merge_results_file(path: str, new_rows: list[ResultRow]) -> None:
     """Rewrite the results store with rows keyed by (run_id, genre, task);
     incoming rows replace existing ones with the same key.
@@ -280,7 +298,7 @@ def merge_results_file(path: str, new_rows: list[ResultRow]) -> None:
     processes lose no rows.  The lock file is never deleted: a writer that
     recreated it would lock a different file than one still waiting.
     """
-    with open(path + ".lock", "a") as lock:
+    with _open_lock(path) as lock:
         if fcntl is not None:
             fcntl.flock(lock, fcntl.LOCK_EX)
         merged: dict[tuple[str, str, str], ResultRow] = {}
@@ -292,20 +310,17 @@ def merge_results_file(path: str, new_rows: list[ResultRow]) -> None:
         write_results_file(path, list(merged.values()))
 
 
-def grid_from_rows(rows: list[ResultRow]) -> dict[tuple[str, str, str], Decimal]:
-    return {(r.scenario, r.genre, r.task): r.accuracy for r in rows}
-
-
-def compare(grid: dict[tuple[str, str, str], Decimal]) -> ComparisonReport:
+def compare(rows: list[ResultRow]) -> ComparisonReport:
     """Mark, per (genre, task) column, the best and worst scenario entries.
 
     Ties mark every tied entry; a single-entry column is both best and worst.
+    Of rows with the same (scenario, genre, task), the last one counts.
     """
-    if not grid:
-        raise ValueError("cannot compare an empty grid")
+    if not rows:
+        raise ValueError("no result rows to compare")
     columns: dict[tuple[str, str], dict[str, Decimal]] = {}
-    for (scenario, genre, task), accuracy in grid.items():
-        columns.setdefault((genre, task), {})[scenario] = accuracy
+    for row in rows:
+        columns.setdefault((row.genre, row.task), {})[row.scenario] = row.accuracy
     entries = []
     for (genre, task) in sorted(columns):
         cells = columns[(genre, task)]

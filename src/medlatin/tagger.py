@@ -274,11 +274,12 @@ def load_model(path: str) -> TaggerModel:
     """Read a model file; a malformed one raises MedlatinError naming the path.
 
     Every tagset label must be one the task can hold (conllu.TASKS), because
-    tagging writes it into a CoNLL-U column.  The vocabulary must give each
-    feature its own id.  Every weight row must name a feature id from the
-    vocabulary, a tag index inside the tagset, because scoring indexes the
-    tagset by it, and a finite int or float weight, because save_model
-    writes float.__repr__.
+    tagging writes it into a CoNLL-U column.  The vocabulary must number
+    its n features 0..n-1, as save_model writes it, because continued
+    training gives each new feature the next id.  Every weight row must
+    name a feature id from the vocabulary, a tag index inside the tagset,
+    because scoring indexes the tagset by it, and a finite int or float
+    weight, because save_model writes float.__repr__.
     """
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
 
@@ -302,8 +303,9 @@ def _model_from_payload(payload: dict) -> TaggerModel:
         TASKS[task].parse(label)
     vocab = {k: int(v) for k, v in payload["feature_vocabulary"].items()}
     feature_of = {f_id: f for f, f_id in vocab.items()}
-    if len(feature_of) != len(vocab):
-        raise ValueError("the feature vocabulary gives two features the same id")
+    if feature_of.keys() != set(range(len(vocab))):
+        raise ValueError(f"the feature vocabulary must number its {len(vocab)} features "
+                         f"0 to {len(vocab) - 1}, each once")
     n_tags = len(tagset)
     weights: dict[str, dict[int, float]] = {}
     last = None  # save_model writes each feature id's rows one after another

@@ -20,7 +20,7 @@ from medlatin.lemmatizer import (LemmaQuery, apply_edit_script,
                                  train_lemmatizer)
 from medlatin.registry import (load_dataset, load_registry,
                                reference_registry, validate_registry)
-from medlatin.scenarios import (Scenario, compare, execute, plan)
+from medlatin.scenarios import ResultRow, Scenario, compare, execute, plan
 from medlatin.tagger import tag, train
 
 from conftest import MINI_REGISTRY, ROUNDTRIP_DIR, TOY_CORPUS, alignment_cost
@@ -211,9 +211,8 @@ def test_10_comparison_highlighting():
         "ud_plus_proiel": "77.34", "ud_plus_udante": "90.20",
         "ud_plus_efontes": "96.10",
     }
-    grid = {(scenario, "Biography", "upos"): Decimal(value)
-            for scenario, value in column.items()}
-    report = compare(grid)
+    report = compare([ResultRow(f"{scenario}__upos", scenario, "Biography", "upos",
+                                Decimal(value)) for scenario, value in column.items()])
     ok = (report.best("Biography", "upos") == {"ud_plus_efontes"}
           and report.worst("Biography", "upos") == {"ud_plus_proiel"})
     best_entry = [e for e in report.entries if e.is_best][0]
@@ -230,7 +229,7 @@ def test_11_end_to_end_determinism(tmp_path):
         out_dir = str(tmp_path / f"run{attempt}")
         for kind in ("baseline", "ud_all", "ud_plus_specific", "ud_plus_efontes"):
             run_plan = plan(Scenario(kind), registry)
-            execute(run_plan, registry, output_dir=out_dir, epochs=2)
+            execute(run_plan.runs, registry, out_dir, epochs=2)
         with open(os.path.join(out_dir, "results.tsv"), "rb") as fh:
             contents.append(fh.read())
     ok = contents[0] == contents[1] and len(contents[0]) > 0

@@ -1,9 +1,10 @@
 import io
 import json
+import os
 
 import pytest
 
-from medlatin import lemmatizer
+from medlatin import lemmatizer, scenarios
 from medlatin.cli import run_cli
 from medlatin.conllu import parse_conllu
 
@@ -217,6 +218,23 @@ def test_tagger_tag_rejects_out_of_range_tag_index(tmp_path, capsys):
                     "--out", str(tmp_path / "tagged.conllu")]) == 1
     err = capsys.readouterr().err
     assert "MedlatinError" in err and str(model) in err and "outside the tagset" in err
+
+
+def test_tagger_train_rejects_base_with_shifted_feature_ids(tmp_path, capsys):
+    model, out = tmp_path / "tagger.json", tmp_path / "out.json"
+    assert run_cli(["tagger", "train", "--task", "upos", "--in", TOY_CORPUS,
+                    "--out", str(model), "--epochs", "1"]) == 0
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    n = len(payload["feature_vocabulary"])
+    payload["feature_vocabulary"] = {f: i + n for f, i in payload["feature_vocabulary"].items()}
+    payload["weights"] = [[f + n, t, w] for f, t, w in payload["weights"]]
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["tagger", "train", "--task", "upos", "--in", TOY_CORPUS, "--base", str(model),
+                    "--out", str(out), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: MedlatinError: {model}: malformed model (the feature vocabulary "
+                   f"must number its {n} features 0 to {n - 1}, each once)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("task, label", [("upos", "BOGUS\tX"), ("ufeats", "Case")])
@@ -630,8 +648,96 @@ def test_validation_fraction_out_of_range_creates_no_out_dir(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
                     "--validation-fraction", "1", "--out", str(out)]) == 1
-    assert "validation_fraction must lie in (0, 1)" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: OutOfRange: validation_fraction must lie "
+                                       "in (0, 1), not 1\n")
     assert not out.exists()
+
+
+def test_tolerance_out_of_range_is_a_named_error(capsys):
+    assert run_cli(["corpus", "validate", "--tolerance", "0"]) == 1
+    assert capsys.readouterr().err == "error: OutOfRange: tolerance must be positive, not 0\n"
+
+
+def _registry_of_mini_files(tmp_path, datasets):
+    """A registry file of {name: (kind, file)}; a relative file is one of the
+    mini registry's."""
+    mini = os.path.dirname(MINI_REGISTRY)
+    registry = tmp_path / "registry.cfg"
+    registry.write_text("".join(f"[dataset:{name}]\nkind = {kind}\n"
+                                f"paths = {os.path.join(mini, file)}\n"
+                                for name, (kind, file) in datasets.items()), encoding="utf-8")
+    return str(registry)
+
+
+GENRES = {"Annals": ("efontes_genre", "annals.conllu"),
+          "Science": ("efontes_genre", "science.conllu")}
+
+
+@pytest.mark.parametrize("treebanks, message", [
+    ({}, "MissingDataset: scenario 'ud_all' needs UD treebank datasets"),
+    ({"ud_alpha": ("ud_treebank", "ud_alpha.conllu"),
+      "eFontes": ("ud_treebank", "ud_beta.conllu")},
+     "LabelClash: UD treebank 'eFontes' would label its ud_plus_specific runs "
+     "'ud_plus_efontes', the label of scenario 'ud_plus_efontes'"),
+], ids=["no-ud-treebank", "treebank-named-efontes"])
+def test_scenario_run_all_plans_every_kind_before_training(tmp_path, capsys, monkeypatch,
+                                                           treebanks, message):
+    registry = _registry_of_mini_files(tmp_path, {**GENRES, **treebanks})
+    monkeypatch.setattr("medlatin.scenarios._train_stages",
+                        lambda *args: pytest.fail("trained before every kind was planned"))
+    out = tmp_path / "out"
+    assert run_cli(["scenario", "run", "--scenario", "all", "--registry", registry,
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_scenario_run_failure_in_a_later_kind_adds_no_rows(tmp_path, capsys):
+    (tmp_path / "broken.conllu").write_text("1\tuideo\n\n", encoding="utf-8")
+    registry = _registry_of_mini_files(
+        tmp_path, {**GENRES, "Broken": ("ud_treebank", str(tmp_path / "broken.conllu"))})
+    out = tmp_path / "out"
+    out.mkdir()
+    results = out / "results.tsv"
+    results.write_text("#format=medlatin.results.v1\nrun_id\tscenario\tgenre\ttask\taccuracy\n"
+                       "old\tud_all\tAnnals\tupos\t90.00\n", encoding="utf-8")
+    before = results.read_bytes()
+    assert run_cli(["scenario", "run", "--scenario", "all", "--registry", registry,
+                    "--tasks", "lemma", "--epochs", "1", "--out", str(out)]) == 1
+    assert "run 'ud_all__lemma': " in capsys.readouterr().err
+    assert results.read_bytes() == before
+    # the baseline runs, of the first kind, finished and keep their models
+    assert sorted(os.listdir(out / "models")) == ["baseline__lemma__annals.json",
+                                                  "baseline__lemma__science.json"]
+
+
+def test_scenario_run_all_merges_the_results_store_once(tmp_path, capsys, monkeypatch):
+    merged = []
+    merge = scenarios.merge_results_file
+    monkeypatch.setattr("medlatin.scenarios.merge_results_file",
+                        lambda path, rows: merged.append(len(rows)) or merge(path, rows))
+    out = tmp_path / "out"
+    assert run_cli(["--machine", "scenario", "run", "--scenario", "all",
+                    "--registry", MINI_REGISTRY, "--tasks", "lemma", "--epochs", "1",
+                    "--out", str(out)]) == 0
+    # lemma rows: baseline 5, ud_all 5, ud_plus_specific 2 * 5, ud_plus_efontes 5
+    assert merged == [25]
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 25
+    assert len(scenarios.read_results_file(str(out / "results.tsv"))) == 25
+
+
+def test_scenario_run_unopenable_results_lock_fails_before_training(tmp_path, capsys,
+                                                                    monkeypatch):
+    out = tmp_path / "out"
+    (out / "results.tsv.lock").mkdir(parents=True)
+    monkeypatch.setattr("medlatin.scenarios._train_stages",
+                        lambda *args: pytest.fail("trained before opening the lock"))
+    assert run_cli(["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
+                    "--tasks", "upos", "--out", str(out)]) == 1
+    lock = out / "results.tsv.lock"
+    assert capsys.readouterr().err == (f"error: MedlatinError: {lock}: "
+                                       f"cannot open (Is a directory)\n")
+    assert os.listdir(out / "models") == []
 
 
 @pytest.mark.parametrize("reader", ["config", "ruleset", "query", "results"])

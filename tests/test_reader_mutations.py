@@ -1,5 +1,6 @@
 """Mutated inputs through the CLI, in process: every reader must end in exit
-0, 1 or 2 with no exception escaping, and an exit 1 must name the file.
+0, 1 or 2 with no exception escaping, and an exit 1 must name the file and
+a MedlatinError class.
 
 Each reader gets a tiny valid file that is then truncated, has one byte
 flipped or, for the JSON model files, has one value (or object key)
@@ -8,6 +9,7 @@ swapped for a wrong-typed value or spliced with a lone-surrogate escape.
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlatin.cli import run_cli
+from medlatin.errors import MedlatinError
 
 CONLLU = (
     "# sent_id = s1\n"
@@ -64,6 +67,11 @@ READERS = {
 
 WRONG_VALUES = (None, True, 0, -1, 2 ** 70, 10 ** 400, 1.5, "", "x", "\udcff",
                 [], [0], [[]], {}, {"x": 0})
+
+
+def error_classes(cls=MedlatinError):
+    """The names of cls and of every class derived from it."""
+    return {cls.__name__}.union(*map(error_classes, cls.__subclasses__()))
 
 
 def run(argv):
@@ -152,3 +160,5 @@ def test_mutated_input_ends_in_a_named_error(files, reader, data):
         assert code in (0, 1, 2), err
         if code == 1:
             assert str(mutated[reader]) in err, err
+            named = re.match(r"error: (\w+): ", err)
+            assert named and named[1] in error_classes(), err

@@ -16,9 +16,9 @@ from medlatin.evaluation import AlignmentMismatch, EvalReport, evaluate
 from medlatin.registry import (EFONTES_GENRE, UD_TREEBANK, DatasetDescriptor, Registry,
                                load_dataset, load_registry, make_cv_splits,
                                reference_registry)
-from medlatin.scenarios import (SCENARIO_KINDS, MissingDataset, ResultRow,
+from medlatin.scenarios import (SCENARIO_KINDS, LabelClash, MissingDataset, ResultRow,
                                 RunPlan, Scenario, TrainingRun, compare,
-                                derive_seed, execute, grid_from_rows,
+                                derive_seed, execute,
                                 materialize_corpus, merge_results_file, plan,
                                 predict_document, read_results_file,
                                 render_comparison, write_results_file)
@@ -164,6 +164,23 @@ def test_plan_matches_old_plan(datasets, kind, tasks, data):
     assert _outcome(plan, scenario, registry) == _outcome(old_plan, scenario, registry)
 
 
+@pytest.mark.parametrize("name", ["eFontes", "EFONTES"])
+def test_plan_rejects_treebank_labelled_like_ud_plus_efontes(name):
+    registry = Registry([DatasetDescriptor("Annals", EFONTES_GENRE),
+                         DatasetDescriptor("Science", EFONTES_GENRE),
+                         DatasetDescriptor("PROIEL", UD_TREEBANK),
+                         DatasetDescriptor(name, UD_TREEBANK)])
+    message = (f"^UD treebank '{name}' would label its ud_plus_specific runs "
+               f"'ud_plus_efontes', the label of scenario 'ud_plus_efontes'$")
+    for ud_name in (None, name):
+        with pytest.raises(LabelClash, match=message):
+            plan(Scenario("ud_plus_specific", ud_name=ud_name), registry)
+    only_proiel = plan(Scenario("ud_plus_specific", ud_name="PROIEL"), registry)
+    assert {run.scenario_label for run in only_proiel.runs} == {"ud_plus_proiel"}
+    for kind in ("baseline", "ud_all", "ud_plus_efontes"):
+        assert plan(Scenario(kind), registry).runs
+
+
 def test_run_ids_unique_enforced():
     run = TrainingRun("same", "x", "upos", (("A",),), ("B",))
     with pytest.raises(ValueError):
@@ -193,8 +210,9 @@ def _solo_registry(tmp_path, extra=""):
 def test_execute_memorization_upper_bound(tmp_path, task):
     registry = _solo_registry(tmp_path)
     run = TrainingRun(f"solo__{task}", "solo", task, (("Solo",),), ("Solo",))
-    grid = execute(RunPlan(Scenario("baseline"), (run,)), registry, epochs=10)
-    assert grid[("solo", "Solo", task)] == Decimal("100.00")
+    rows = execute([run], registry, str(tmp_path / "out"), epochs=10)
+    assert [(r.scenario, r.genre, r.task, r.accuracy) for r in rows] == [
+        ("solo", "Solo", task, Decimal("100.00"))]
 
 
 @pytest.mark.parametrize("had_results", [False, True], ids=["no-store", "store"])
@@ -210,7 +228,7 @@ def test_failed_run_keeps_earlier_models_and_no_rows(tmp_path, had_results):
                                                     Decimal("90.00"))])
         before = results.read_bytes()
     with pytest.raises(MedlatinError, match=r"^run 'second': "):
-        execute(RunPlan(Scenario("baseline"), (first, second)), registry, output_dir=str(out))
+        execute([first, second], registry, str(out))
     assert os.listdir(out / "models") == ["first.json"]
     model = lemmatizer.load_model(str(out / "models" / "first.json"))
     assert [stage["datasets"] for stage in model.provenance] == [["Solo"]]
@@ -221,28 +239,29 @@ def test_failed_run_keeps_earlier_models_and_no_rows(tmp_path, had_results):
 
 
 def test_execute_full_mini_grid_shape_and_determinism(tmp_path, mini_registry):
-    grids = []
+    runs = [run for kind in SCENARIO_KINDS for run in plan(Scenario(kind), mini_registry).runs]
+    results, stores = [], []
     for attempt in (1, 2):
-        grid = {}
-        for kind in ("baseline", "ud_all", "ud_plus_specific", "ud_plus_efontes"):
-            run_plan = plan(Scenario(kind), mini_registry)
-            grid.update(execute(run_plan, mini_registry, epochs=1))
-        grids.append(grid)
-    assert grids[0] == grids[1]
-    grid = grids[0]
-    labels = {key[0] for key in grid}
+        out = tmp_path / f"run{attempt}"
+        results.append(execute(runs, mini_registry, str(out), epochs=1))
+        stores.append((out / "results.tsv").read_bytes())
+    assert results[0] == results[1]
+    assert stores[0] == stores[1]
+    rows = results[0]
+    labels = {row.scenario for row in rows}
     assert labels == {"baseline", "ud_all", "ud_plus_ud_alpha",
                       "ud_plus_ud_beta", "ud_plus_efontes"}
-    genres = {key[1] for key in grid}
+    genres = {row.genre for row in rows}
     assert genres == {"Annals", "Biography", "Normative", "Proceedings", "Science"}
-    assert len(grid) == len(labels) * 5 * 3
+    cells = {(row.scenario, row.genre, row.task) for row in rows}
+    assert len(cells) == len(rows) == len(labels) * 5 * 3
 
 
 def test_execute_persists_models_with_provenance(tmp_path, mini_registry):
     run_plan = plan(Scenario("ud_plus_efontes", tasks=("upos",)), mini_registry)
     run = run_plan.runs[0]
     out = str(tmp_path / "out")
-    execute(RunPlan(run_plan.scenario, (run,)), mini_registry, output_dir=out, epochs=1)
+    execute([run], mini_registry, out, epochs=1)
     model = load_tagger_model(os.path.join(out, "models", f"{run.run_id}.json"))
     assert tuple(stage.datasets for stage in model.provenance) == run.stages
     assert [stage.was_continued for stage in model.provenance] == [False, True]
@@ -251,9 +270,8 @@ def test_execute_persists_models_with_provenance(tmp_path, mini_registry):
 def test_execute_writes_results_file(tmp_path, mini_registry):
     out = str(tmp_path / "out")
     run_plan = plan(Scenario("ud_all", tasks=("lemma",)), mini_registry)
-    grid = execute(run_plan, mini_registry, output_dir=out, epochs=1)
-    rows = read_results_file(os.path.join(out, "results.tsv"))
-    assert grid_from_rows(rows) == grid
+    rows = execute(run_plan.runs, mini_registry, out, epochs=1)
+    assert set(read_results_file(os.path.join(out, "results.tsv"))) == set(rows)
 
 
 def test_results_file_roundtrip_and_merge(tmp_path):
@@ -334,6 +352,12 @@ def test_merge_waits_for_the_store_lock(tmp_path):
     assert set(read_results_file(path)) == {first, other, merged}
 
 
+def result_rows(grid):
+    """ResultRows of a {(scenario, genre, task): accuracy} dict."""
+    return [ResultRow(f"{scenario}__{task}", scenario, genre, task, accuracy)
+            for (scenario, genre, task), accuracy in grid.items()]
+
+
 def test_compare_biography_upos_column():
     values = {
         "baseline": "95.43", "ud_all": "90.19", "ud_plus_ittb": "89.58",
@@ -342,34 +366,34 @@ def test_compare_biography_upos_column():
         "ud_plus_efontes": "96.10",
     }
     grid = {(scenario, "Biography", "upos"): Decimal(v) for scenario, v in values.items()}
-    report = compare(grid)
+    report = compare(result_rows(grid))
     assert report.best("Biography", "upos") == {"ud_plus_efontes"}
     assert report.worst("Biography", "upos") == {"ud_plus_proiel"}
 
 
 def test_compare_single_scenario_is_both_best_and_worst():
-    report = compare({("only", "G", "upos"): Decimal("50.00")})
+    report = compare(result_rows({("only", "G", "upos"): Decimal("50.00")}))
     assert report.best("G", "upos") == {"only"}
     assert report.worst("G", "upos") == {"only"}
 
 
 def test_compare_ties_mark_all():
     grid = {("a", "G", "upos"): Decimal("80.00"), ("b", "G", "upos"): Decimal("80.00")}
-    report = compare(grid)
+    report = compare(result_rows(grid))
     assert report.best("G", "upos") == {"a", "b"}
     assert report.worst("G", "upos") == {"a", "b"}
 
 
 def test_compare_never_unique_best_and_worst_in_multi_entry_column():
     grid = {("a", "G", "upos"): Decimal("80.00"), ("b", "G", "upos"): Decimal("70.00")}
-    report = compare(grid)
+    report = compare(result_rows(grid))
     for entry in report.entries:
         assert not (entry.is_best and entry.is_worst)
 
 
 def test_render_comparison_marks_cells():
     grid = {("good", "G", "upos"): Decimal("90.00"), ("bad", "G", "upos"): Decimal("10.00")}
-    text = render_comparison(compare(grid))
+    text = render_comparison(compare(result_rows(grid)))
     assert "90.00*" in text
     assert "10.00!" in text
 

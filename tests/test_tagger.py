@@ -426,6 +426,22 @@ def _duplicate_feature_id(payload):
     vocab["not-a-feature"] = vocab[min(vocab)]
 
 
+def _shift_feature_ids(payload):
+    """Shift every feature id up by the vocabulary's size; the weight rows follow."""
+    n = len(payload["feature_vocabulary"])
+    payload["feature_vocabulary"] = {f: f_id + n for f, f_id in
+                                     payload["feature_vocabulary"].items()}
+    payload["weights"] = [[f + n, t, w] for f, t, w in payload["weights"]]
+
+
+def _move_feature_id_past_end(payload):
+    """Give the feature with id 0 the id n, one past the end; its rows follow."""
+    vocab = payload["feature_vocabulary"]
+    n = len(vocab)
+    vocab[min(vocab, key=vocab.get)] = n
+    payload["weights"] = [[n if f == 0 else f, t, w] for f, t, w in payload["weights"]]
+
+
 def _set_weights(row):
     """row(payload) -> one weight row that breaks the model."""
     return lambda payload: payload.__setitem__("weights", [row(payload)])
@@ -438,6 +454,8 @@ MALFORMED = {
     "weights-is-dict": _set("weights", {}),
     "vocabulary-is-list": _set("feature_vocabulary", []),
     "vocabulary-duplicate-id": _duplicate_feature_id,
+    "vocabulary-ids-shifted": _shift_feature_ids,
+    "vocabulary-id-past-end": _move_feature_id_past_end,
     "empty-tagset": _set("tagset", []),
     "unknown-task": _set("task", "deps"),
     "lemma-task": _set("task", "lemma"),
@@ -479,6 +497,16 @@ def test_load_model_rejects_malformed_file(tmp_path, toy_corpus, case):
     task = "ufeats" if case.startswith("ufeats-") else "upos"
     write_edited(path, toy_corpus, MALFORMED[case], task)
     with pytest.raises(MedlatinError, match="tagger.json"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("case", ["vocabulary-duplicate-id", "vocabulary-ids-shifted",
+                                  "vocabulary-id-past-end"])
+def test_load_model_rejects_vocabulary_not_numbered_from_zero(tmp_path, toy_corpus, case):
+    path = tmp_path / "tagger.json"
+    write_edited(path, toy_corpus, MALFORMED[case])
+    with pytest.raises(MedlatinError, match=r"tagger\.json: malformed model \(the feature "
+                       r"vocabulary must number its \d+ features 0 to \d+, each once\)$"):
         load_model(str(path))
 
 
