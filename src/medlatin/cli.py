@@ -19,7 +19,6 @@ tab-separated output behind a versioned header line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -31,7 +30,7 @@ from . import lemmatizer as lemmatizer_mod
 from . import normalize as normalize_mod
 from . import scenarios as scenarios_mod
 from . import tagger as tagger_mod
-from .conllu import TASKS, Document, concat_documents, read_conllu, serialize
+from .conllu import TASKS, Document, concat_documents, read_conllu, relabel, serialize
 from .errors import MedlatinError, decode_text, read_text, write_file
 from .evaluation import AlignmentMismatch, evaluate, evaluate_by_genre
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
@@ -76,7 +75,7 @@ def _finite_decimal(text: str) -> Decimal:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of --epochs."""
+    """argparse type of --epochs and --top-k."""
     try:
         value = int(text)
     except ValueError:
@@ -94,13 +93,16 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit_table(args, command: str, header: list[str], rows: list[list[str]]) -> None:
+    """The one table writer.  --machine: a versioned header line, then
+    tab-separated rows; otherwise columns two spaces apart, each line
+    right-stripped."""
+    table = [header] + rows
     if args.machine:
-        sys.stdout.write(f"#format=medlatin.{command}.v1\n")
-        sys.stdout.write("\t".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write("\t".join(row) + "\n")
+        lines = [f"#format=medlatin.{command}.v1"] + ["\t".join(row) for row in table]
     else:
-        sys.stdout.write(scenarios_mod.aligned_text([header] + rows))
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ["  ".join(map(str.ljust, row, widths)).rstrip() for row in table]
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _task_names(value: str, option: str) -> tuple[str, ...]:
@@ -172,15 +174,9 @@ def cmd_normalize(args) -> int:
     else:
         ruleset = normalize_mod.default_gold_ruleset()
     doc = read_conllu(args.infile, args.drop_unsupported)
-    new_sentences = []
-    for sentence in doc.sentences:
-        new_tokens = tuple(
-            tok if tok.lemma == "_" else TASKS["lemma"].write(
-                tok, normalize_mod.normalize_word(ruleset, tok.lemma))
-            for tok in sentence.tokens
-        )
-        new_sentences.append(dataclasses.replace(sentence, tokens=new_tokens))
-    _write_text(args.out, serialize(Document(tuple(new_sentences), doc.source_name)))
+    lemmas = ([tok.lemma if tok.lemma == "_" else normalize_mod.normalize_word(ruleset, tok.lemma)
+               for tok in sentence.tokens] for sentence in doc.sentences)
+    _write_text(args.out, serialize(relabel(doc, "lemma", lemmas)))
     return 0
 
 
@@ -289,16 +285,19 @@ def cmd_scenario_compare(args) -> int:
         raise MedlatinError(f"{args.results}: no result rows to compare")
     report = scenarios_mod.compare(rows)
     if args.machine:
-        machine_rows = [
-            [e.scenario, e.genre, e.task, str(e.accuracy),
-             "best" if e.is_best else "", "worst" if e.is_worst else ""]
-            for e in report.entries
-        ]
-        _emit_table(args, "scenario.compare",
-                    ["scenario", "genre", "task", "accuracy", "best", "worst"],
-                    machine_rows)
-    else:
-        sys.stdout.write(scenarios_mod.render_comparison(report))
+        header = ["scenario", "genre", "task", "accuracy", "best", "worst"]
+        table = [[e.scenario, e.genre, e.task, str(e.accuracy),
+                  "best" if e.is_best else "", "worst" if e.is_worst else ""]
+                 for e in report.entries]
+    else:  # scenarios down, (genre, task) across; '*' marks a column's best, '!' its worst
+        columns = sorted({(e.genre, e.task) for e in report.entries})
+        cells = {(e.scenario, e.genre, e.task):
+                 f"{e.accuracy}{'*' if e.is_best else '!' if e.is_worst else ''}"
+                 for e in report.entries}
+        header = ["scenario"] + [f"{genre}/{task}" for genre, task in columns]
+        table = [[scenario] + [cells.get((scenario, *column), "-") for column in columns]
+                 for scenario in sorted({e.scenario for e in report.entries})]
+    _emit_table(args, "scenario.compare", header, table)
     return 0
 
 
@@ -476,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["confusions", "pos", "genres"], required=True)
     p.add_argument("--field", choices=list(TASKS), default="lemma",
                    help="field for the genres report (default lemma)")
-    p.add_argument("--top-k", type=int, default=5,
+    p.add_argument("--top-k", type=_non_negative_int, default=5,
                    help="patterns per position in the confusions report")
     p.add_argument("--include-sym", action="store_true",
                    help="keep SYM-token errors in confusion mining")

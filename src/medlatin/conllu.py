@@ -14,6 +14,10 @@ document's provenance.
 
 Dependency-related columns (XPOS, HEAD, DEPREL, DEPS) are carried opaquely
 and re-emitted verbatim; they are never interpreted.
+
+relabel is the one way a document's labels are rewritten: prediction and
+lemma normalization both copy a document through it, one label per token
+written through the task's row of TASKS.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import MedlatinError, read_text
 
@@ -281,3 +285,14 @@ def concat_documents(docs: list[Document], source_name: str) -> Document:
         sentences.extend(d.sentences)
         provenance.extend(d.provenance)
     return Document(tuple(sentences), source_name, tuple(provenance))
+
+
+def relabel(doc: Document, task: str, labels: Iterable[Iterable[str]]) -> Document:
+    """Copy of doc with the task's label of every token replaced: labels
+    holds one label sequence per sentence, written through TASKS[task].write.
+    The copy keeps the document's name and provenance."""
+    write = TASKS[task].write
+    return Document(tuple(Sentence(tuple(map(write, s.tokens, sentence_labels)),
+                                   s.sent_id, s.comments)
+                          for s, sentence_labels in zip(doc.sentences, labels)),
+                    doc.source_name, doc.provenance)

@@ -137,15 +137,20 @@ def compute_stats(doc: Document) -> CorpusStats:
     return CorpusStats(tokens, sentences, half_up_2dp(tokens, sentences))
 
 
+def _positive_tolerance(tolerance: Decimal | str | float) -> Decimal:
+    tol = Decimal(str(tolerance))
+    if tol <= 0:
+        raise OutOfRange(f"tolerance must be positive, not {tolerance}")
+    return tol
+
+
 def validate_stats(declared: CorpusStats, tolerance: Decimal | str | float = "0.05") -> StatsVerdict:
     """Check a declared (tokens, sentences, avg) triple for internal consistency.
 
     The verdict reports the recomputed average either way; inconsistent means
     the declared average is more than ``tolerance`` away from tokens/sentences.
     """
-    tol = Decimal(str(tolerance))
-    if tol <= 0:
-        raise OutOfRange(f"tolerance must be positive, not {tolerance}")
+    tol = _positive_tolerance(tolerance)
     if declared.sentences == 0:
         if declared.tokens > 0:
             raise DivisionByZero(
@@ -266,7 +271,9 @@ def reference_registry() -> Registry:
 
 def validate_registry(registry: Registry,
                       tolerance: Decimal | str | float = "0.05") -> dict[str, StatsVerdict]:
-    """Run validate_stats over every dataset that declares statistics."""
+    """Run validate_stats over every dataset that declares statistics; the
+    tolerance is range-checked even if none does."""
+    tolerance = _positive_tolerance(tolerance)
     verdicts = {}
     for desc in registry:
         if desc.declared_stats is not None:

@@ -22,16 +22,18 @@ continue from the previous stage's model, and every trained model is
 persisted with its provenance.  execute takes the runs of the whole grid
 at once and returns one ResultRow per (run, test genre), the one result
 record: the results store holds rows keyed by (run_id, genre, task), so
-re-runs replace rather than duplicate, and compare reads them.
+re-runs replace rather than duplicate, and compare reads them.  compare
+returns data, the best and worst entry of each (genre, task) column; the
+CLI renders it as a table.  predict_document writes its predictions onto
+a copy of the gold document through conllu.relabel.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
 try:
@@ -41,7 +43,7 @@ except ImportError:  # not POSIX: merges into the results store are not locked
 
 from . import lemmatizer as lemmatizer_mod
 from . import tagger as tagger_mod
-from .conllu import TASKS, Document, concat_documents
+from .conllu import TASKS, Document, concat_documents, relabel
 from .errors import MedlatinError, read_text, write_file
 from .evaluation import evaluate
 from .registry import Registry, load_dataset, make_cv_splits, split_for_validation
@@ -117,7 +119,7 @@ class ComparisonEntry:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    entries: tuple[ComparisonEntry, ...] = field(default=())
+    entries: tuple[ComparisonEntry, ...] = ()
 
     def best(self, genre: str, task: str) -> set[str]:
         return {e.scenario for e in self.entries
@@ -178,17 +180,12 @@ def materialize_corpus(registry: Registry, dataset_names: tuple[str, ...],
 
 def predict_document(model, task: str, gold: Document) -> Document:
     """Copy of the gold document with the task's label replaced by predictions."""
-    spec = TASKS[task]
-    new_sentences = []
-    for sentence in gold.sentences:
-        if spec.tagger:
-            labels = tagger_mod.tag(model, sentence)
-        else:
-            labels = [lemmatizer_mod.lemmatize(model, lemmatizer_mod.LemmaQuery(tok.form, tok.upos))
-                      for tok in sentence.tokens]
-        new_tokens = tuple(map(spec.write, sentence.tokens, labels))
-        new_sentences.append(dataclasses.replace(sentence, tokens=new_tokens))
-    return Document(tuple(new_sentences), gold.source_name)
+    if TASKS[task].tagger:
+        labels = (tagger_mod.tag(model, sentence) for sentence in gold.sentences)
+    else:
+        labels = ([lemmatizer_mod.lemmatize(model, lemmatizer_mod.LemmaQuery(tok.form, tok.upos))
+                   for tok in sentence.tokens] for sentence in gold.sentences)
+    return relabel(gold, task, labels)
 
 
 def _train_stages(run: TrainingRun, registry: Registry, epochs: int,
@@ -334,33 +331,3 @@ def compare(rows: list[ResultRow]) -> ComparisonReport:
                 is_worst=accuracy == worst_val,
             ))
     return ComparisonReport(tuple(entries))
-
-
-def render_comparison(report: ComparisonReport) -> str:
-    """Aligned text table: rows are scenarios, columns are (genre, task);
-    '*' marks the best cell of a column, '!' the worst."""
-    columns = sorted({(e.genre, e.task) for e in report.entries})
-    scenarios = sorted({e.scenario for e in report.entries})
-    cell = {(e.scenario, e.genre, e.task): e for e in report.entries}
-    lines = [["scenario"] + [f"{g}/{t}" for g, t in columns]]
-    for scenario in scenarios:
-        row = [scenario]
-        for g, t in columns:
-            e = cell.get((scenario, g, t))
-            if e is None:
-                row.append("-")
-            else:
-                mark = "*" if e.is_best else ("!" if e.is_worst else "")
-                row.append(f"{e.accuracy}{mark}")
-        lines.append(row)
-    return aligned_text(lines)
-
-
-def aligned_text(rows: list[list[str]]) -> str:
-    """Rows of cells (a header row first) as text columns two spaces apart,
-    each line right-stripped."""
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(val.ljust(widths[i]) for i, val in enumerate(row)).rstrip()
-        for row in rows
-    ) + "\n"

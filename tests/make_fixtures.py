@@ -1,6 +1,7 @@
 """Regenerate the static test fixtures.
 
-Run from the repo root:  python tests/make_fixtures.py
+Run from the repo root:  PYTHONPATH=src python tests/make_fixtures.py
+(or python tests/make_fixtures.py after pip install -e .)
 
 Everything is seeded, so reruns reproduce the committed files byte for
 byte.  Fixtures are generated through the package's own serializer, which

@@ -294,6 +294,53 @@ def test_scenario_run_and_compare_cli(tmp_path, capsys):
     assert "ud_all" in out
 
 
+# Three scenarios; Annals/upos has a tie for best, ud_plus_proiel has no
+# Annals/lemma cell, Science/upos has a single entry, and Science/lemma has
+# an unmarked middle cell.
+COMPARE_STORE = (
+    "#format=medlatin.results.v1\n"
+    "run_id\tscenario\tgenre\ttask\taccuracy\n"
+    "baseline__upos__annals\tbaseline\tAnnals\tupos\t80.00\n"
+    "baseline__lemma__annals\tbaseline\tAnnals\tlemma\t70.50\n"
+    "baseline__lemma__science\tbaseline\tScience\tlemma\t10.00\n"
+    "ud_all__upos\tud_all\tAnnals\tupos\t90.00\n"
+    "ud_all__lemma\tud_all\tAnnals\tlemma\t60.25\n"
+    "ud_all__lemma\tud_all\tScience\tlemma\t20.00\n"
+    "ud_plus_proiel__upos\tud_plus_proiel\tAnnals\tupos\t90.00\n"
+    "ud_plus_proiel__upos\tud_plus_proiel\tScience\tupos\t55.00\n"
+    "ud_plus_proiel__lemma\tud_plus_proiel\tScience\tlemma\t30.00\n"
+)
+
+
+@pytest.mark.parametrize("machine, expected", [
+    (False,
+     "scenario        Annals/lemma  Annals/upos  Science/lemma  Science/upos\n"
+     "baseline        70.50*        80.00!       10.00!         -\n"
+     "ud_all          60.25!        90.00*       20.00          -\n"
+     "ud_plus_proiel  -             90.00*       30.00*         55.00*\n"),
+    (True,
+     "#format=medlatin.scenario.compare.v1\n"
+     "scenario\tgenre\ttask\taccuracy\tbest\tworst\n"
+     "baseline\tAnnals\tlemma\t70.50\tbest\t\n"
+     "ud_all\tAnnals\tlemma\t60.25\t\tworst\n"
+     "baseline\tAnnals\tupos\t80.00\t\tworst\n"
+     "ud_all\tAnnals\tupos\t90.00\tbest\t\n"
+     "ud_plus_proiel\tAnnals\tupos\t90.00\tbest\t\n"
+     "baseline\tScience\tlemma\t10.00\t\tworst\n"
+     "ud_all\tScience\tlemma\t20.00\t\t\n"
+     "ud_plus_proiel\tScience\tlemma\t30.00\tbest\t\n"
+     "ud_plus_proiel\tScience\tupos\t55.00\tbest\tworst\n"),
+], ids=["human", "machine"])
+def test_scenario_compare_output_is_exact(tmp_path, capsys, machine, expected):
+    results = tmp_path / "results.tsv"
+    results.write_text(COMPARE_STORE, encoding="utf-8")
+    argv = ["scenario", "compare", "--results", str(results)]
+    assert run_cli(["--machine"] * machine + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 def test_scenario_compare_rejects_short_results_row(tmp_path, capsys):
     results = tmp_path / "results.tsv"
     results.write_text("#format=medlatin.results.v1\n"
@@ -591,11 +638,13 @@ def test_non_integer_config_value_is_usage_error(tmp_path, capsys, line):
     assert f"{cfg}: config key {key!r} must be an integer, not {value!r}" in capsys.readouterr().err
 
 
-EPOCHS_ARGVS = [
+NON_NEGATIVE_INT_ARGVS = [
     ["tagger", "train", "--task", "upos", "--in", "missing.conllu", "--out", "out",
      "--epochs"],
     ["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
      "--out", "out", "--epochs"],
+    ["analyze", "--gold", "missing.conllu", "--pred", "missing.conllu",
+     "--report", "confusions", "--top-k"],
 ]
 
 
@@ -603,25 +652,27 @@ EPOCHS_ARGVS = [
     ["corpus", "validate", "--tolerance"],
     ["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
      "--out", "out", "--validation-fraction"],
-    *EPOCHS_ARGVS,
-], ids=["tolerance", "validation-fraction", "tagger-epochs", "scenario-epochs"])
+    *NON_NEGATIVE_INT_ARGVS,
+], ids=["tolerance", "validation-fraction", "tagger-epochs", "scenario-epochs",
+        "analyze-top-k"])
 @pytest.mark.parametrize("value", ["abc", "nan", "Infinity"])
 def test_non_finite_decimal_option_is_usage_error(tmp_path, capsys, monkeypatch, argv, value):
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv + [value]) == 2
     err = capsys.readouterr().err
-    kind = "non-negative integer" if argv[-1] == "--epochs" else "finite decimal"
+    kind = "non-negative integer" if argv[-1] in ("--epochs", "--top-k") else "finite decimal"
     assert f"{argv[-1]}: {value!r} is not a {kind}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", EPOCHS_ARGVS, ids=["tagger", "scenario"])
+@pytest.mark.parametrize("argv", NON_NEGATIVE_INT_ARGVS,
+                         ids=["tagger", "scenario", "analyze-top-k"])
 def test_negative_epochs_is_usage_error_before_any_data_loads(tmp_path, capsys, monkeypatch,
                                                               argv):
-    monkeypatch.chdir(tmp_path)  # tagger train's --in names a file that does not exist
+    monkeypatch.chdir(tmp_path)  # the --in and --gold files do not exist
     assert run_cli(argv + ["-1"]) == 2
-    assert "argument --epochs: '-1' is not a non-negative integer" in capsys.readouterr().err
+    assert f"argument {argv[-1]}: '-1' is not a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -656,6 +707,15 @@ def test_validation_fraction_out_of_range_creates_no_out_dir(tmp_path, capsys):
 def test_tolerance_out_of_range_is_a_named_error(capsys):
     assert run_cli(["corpus", "validate", "--tolerance", "0"]) == 1
     assert capsys.readouterr().err == "error: OutOfRange: tolerance must be positive, not 0\n"
+
+
+def test_tolerance_is_checked_on_a_registry_without_declared_stats(tmp_path, capsys):
+    registry = tmp_path / "registry.cfg"
+    registry.write_text("[dataset:A]\nkind = efontes_genre\n", encoding="utf-8")
+    assert run_cli(["corpus", "validate", "--registry", str(registry), "--tolerance", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: OutOfRange: tolerance must be positive, not 0\n"
+    assert captured.out == ""
 
 
 def _registry_of_mini_files(tmp_path, datasets):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from medlatin.conllu import (UPOS_TAGS, Document, InvalidUpos, MalformedLine,
                              NonConsecutiveIds, Sentence, Token,
                              UnsupportedToken, feats_from_string, parse_conllu,
-                             read_conllu, serialize)
+                             read_conllu, relabel, serialize)
 from medlatin.errors import MedlatinError
 
 from conftest import ROUNDTRIP_DIR, doc, sent, tok
@@ -368,3 +368,17 @@ def test_read_conllu_missing_file_names_path(tmp_path):
     path = str(tmp_path / "absent.conllu")
     with pytest.raises(MedlatinError, match=f"^{re.escape(path)}: cannot read"):
         read_conllu(path)
+
+
+def test_relabel_writes_each_label_and_keeps_name_and_provenance():
+    gold = Document((sent(tok(1, "Roma", "Roma", "PROPN"), tok(2, "est", "sum", "AUX")),
+                     sent(tok(1, "uale", "ualeo", "VERB"), comments=("# sent_id = b",))),
+                    "gold.conllu", ("file:gold.conllu", "dropped 1 unsupported token line(s)"))
+    out = relabel(gold, "upos", iter([["NOUN", "VERB"], ["INTJ"]]))
+    assert [[t.upos for t in s.tokens] for s in out.sentences] == [["NOUN", "VERB"], ["INTJ"]]
+    assert out.sentences[1].comments == ("# sent_id = b",)
+    assert (out.source_name, out.provenance) == (gold.source_name, gold.provenance)
+    lemmas = relabel(gold, "lemma", [["roma", "sum"], ["ualeo"]])
+    assert lemmas.sentences[0].tokens[0].lemma == "roma"
+    with pytest.raises(ValueError, match="is not a UPOS tag"):
+        relabel(gold, "upos", [["BOGUS", "VERB"], ["INTJ"]])

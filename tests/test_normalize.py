@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from medlatin import normalize as normalize_mod
+from medlatin.cli import run_cli
+from medlatin.conllu import TASKS, Document, Sentence, Token, serialize
 from medlatin.normalize import (POSITIONS, RewriteRule, Ruleset,
                                 RulesetFormatError, apply_rules,
                                 default_gold_ruleset, normalize_word,
@@ -201,3 +205,46 @@ def test_default_ruleset_matches_reference_engine(word):
     for rule in ruleset.rules:
         expected = reference_apply_one(rule, expected)
     assert apply_rules(ruleset, word) == expected
+
+
+def reference_normalize(ruleset, doc):
+    """cmd_normalize's loop as it was before conllu.relabel, kept verbatim as
+    the reference."""
+    new_sentences = []
+    for sentence in doc.sentences:
+        new_tokens = tuple(
+            tok if tok.lemma == "_" else TASKS["lemma"].write(
+                tok, normalize_mod.normalize_word(ruleset, tok.lemma))
+            for tok in sentence.tokens
+        )
+        new_sentences.append(dataclasses.replace(sentence, tokens=new_tokens))
+    return Document(tuple(new_sentences), doc.source_name)
+
+
+_LEMMAS = st.one_of(
+    st.sampled_from(["_", "Video", "gracia", "Laurencius", "civitas", "Vivo", "uideo"]),
+    st.text(alphabet="_aAcCeiItTuUvV", min_size=1, max_size=8),
+)
+
+
+@st.composite
+def lemma_documents(draw):
+    sentences = []
+    for s in range(draw(st.integers(0, 4))):
+        lemmas = draw(st.lists(_LEMMAS, min_size=1, max_size=6))
+        tokens = tuple(Token(i + 1, f"w{i}", lemma, draw(st.sampled_from(["NOUN", "PROPN"])))
+                       for i, lemma in enumerate(lemmas))
+        comments = (f"# sent_id = s{s}",) if draw(st.booleans()) else ()
+        sentences.append(Sentence(tokens, f"s{s}" if comments else None, comments))
+    return Document(tuple(sentences), "generated")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=lemma_documents())
+def test_normalize_cli_matches_reference_loop(tmp_path, capsys, doc):
+    src = tmp_path / "in.conllu"
+    src.write_text(serialize(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["normalize", "--in", str(src)]) == 0
+    assert capsys.readouterr().out == serialize(reference_normalize(default_gold_ruleset(), doc))

@@ -21,7 +21,7 @@ from medlatin.scenarios import (SCENARIO_KINDS, LabelClash, MissingDataset, Resu
                                 derive_seed, execute,
                                 materialize_corpus, merge_results_file, plan,
                                 predict_document, read_results_file,
-                                render_comparison, write_results_file)
+                                write_results_file)
 from medlatin.tagger import load_model as load_tagger_model
 
 from conftest import MINI_REGISTRY, simple_doc
@@ -389,13 +389,6 @@ def test_compare_never_unique_best_and_worst_in_multi_entry_column():
     report = compare(result_rows(grid))
     for entry in report.entries:
         assert not (entry.is_best and entry.is_worst)
-
-
-def test_render_comparison_marks_cells():
-    grid = {("good", "G", "upos"): Decimal("90.00"), ("bad", "G", "upos"): Decimal("10.00")}
-    text = render_comparison(compare(result_rows(grid)))
-    assert "90.00*" in text
-    assert "10.00!" in text
 
 
 def test_scenario_rejects_unknown_kind_and_task():
