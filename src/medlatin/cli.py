@@ -283,20 +283,20 @@ def cmd_scenario_compare(args) -> int:
     rows = scenarios_mod.read_results_file(args.results)
     if not rows:
         raise MedlatinError(f"{args.results}: no result rows to compare")
-    report = scenarios_mod.compare(rows)
+    entries = scenarios_mod.compare(rows)
     if args.machine:
         header = ["scenario", "genre", "task", "accuracy", "best", "worst"]
         table = [[e.scenario, e.genre, e.task, str(e.accuracy),
                   "best" if e.is_best else "", "worst" if e.is_worst else ""]
-                 for e in report.entries]
+                 for e in entries]
     else:  # scenarios down, (genre, task) across; '*' marks a column's best, '!' its worst
-        columns = sorted({(e.genre, e.task) for e in report.entries})
+        columns = sorted({(e.genre, e.task) for e in entries})
         cells = {(e.scenario, e.genre, e.task):
                  f"{e.accuracy}{'*' if e.is_best else '!' if e.is_worst else ''}"
-                 for e in report.entries}
+                 for e in entries}
         header = ["scenario"] + [f"{genre}/{task}" for genre, task in columns]
         table = [[scenario] + [cells.get((scenario, *column), "-") for column in columns]
-                 for scenario in sorted({e.scenario for e in report.entries})]
+                 for scenario in sorted({e.scenario for e in entries})]
     _emit_table(args, "scenario.compare", header, table)
     return 0
 
@@ -325,26 +325,24 @@ def cmd_eval(args) -> int:
 
 # --------------------------------------------------------------- analyze
 
-def _genre_pairs(args) -> dict[str, tuple[Document, Document]]:
+def _genre_pairs(args) -> list[tuple[str, Document, Document]]:
+    """(label, gold, predicted) per file pair, in argument order; a label is
+    the pair's --genre label, or else its gold file's basename."""
     golds, preds = args.gold, args.pred
     if len(golds) != len(preds):
         raise MedlatinError("need as many --gold as --pred files")
-    genres = args.genre or []
-    if genres and len(genres) != len(golds):
+    genres = args.genre or [os.path.basename(g) for g in golds]
+    if len(genres) != len(golds):
         raise MedlatinError("need as many --genre labels as file pairs")
-    pairs = {}
-    for i, (g, p) in enumerate(zip(golds, preds)):
-        label = genres[i] if genres else os.path.basename(g)
-        pairs[label] = (read_conllu(g, args.drop_unsupported),
-                        read_conllu(p, args.drop_unsupported))
-    return pairs
+    return [(label, read_conllu(g, args.drop_unsupported), read_conllu(p, args.drop_unsupported))
+            for label, g, p in zip(genres, golds, preds)]
 
 
 def cmd_analyze(args) -> int:
     pairs = _genre_pairs(args)
     if args.report == "confusions":
         errors = []
-        for gold, pred in pairs.values():
+        for _, gold, pred in pairs:
             errors.extend(_naming_pair(analysis_mod.lemma_error_pairs, gold, pred,
                                        args.include_sym))
         patterns = analysis_mod.mine_confusions(errors)
@@ -358,14 +356,21 @@ def cmd_analyze(args) -> int:
         _emit_table(args, "analyze.confusions", ["position", "pattern", "count"], rows)
     elif args.report == "pos":
         matrix: dict = {}
-        for gold, pred in pairs.values():
+        for _, gold, pred in pairs:
             for key, count in _naming_pair(analysis_mod.pos_confusions, gold, pred).items():
                 matrix[key] = matrix.get(key, 0) + count
         ordered = sorted(matrix.items(), key=lambda kv: (-kv[1], kv[0]))
         rows = [[g, p, str(c)] for (g, p), c in ordered]
         _emit_table(args, "analyze.pos", ["gold_upos", "pred_upos", "count"], rows)
     else:  # genres
-        reports = evaluate_by_genre(pairs, (args.field,))
+        by_genre: dict[str, tuple[Document, Document]] = {}
+        for label, gold, pred in pairs:
+            if label in by_genre:
+                raise MedlatinError(f"genre {label!r} labels two file pairs, gold "
+                                    f"{by_genre[label][0].source_name} and {gold.source_name} "
+                                    "(give each pair its own --genre label)")
+            by_genre[label] = (gold, pred)
+        reports = evaluate_by_genre(by_genre, (args.field,))
         dist = analysis_mod.genre_distribution(reports, args.field)
         rows = []
         for genre in dist.counts:

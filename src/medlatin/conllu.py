@@ -9,8 +9,8 @@ Only plain single-word tokens are modelled.  Multiword-token ranges
 every downstream task is strictly one-tag-per-token and silently skipping
 such lines would desynchronize gold/predicted alignment.  Callers that
 need to ingest treebanks containing them can pass ``drop_unsupported=True``,
-which drops those lines before parsing and records the fact in the
-document's provenance.
+which drops those lines before parsing.  A sentence's '#' comment lines
+are kept verbatim and never interpreted.
 
 Dependency-related columns (XPOS, HEAD, DEPREL, DEPS) are carried opaquely
 and re-emitted verbatim; they are never interpreted.
@@ -36,7 +36,6 @@ UPOS_TAGS = frozenset({
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
-_SENT_ID_COMMENT = re.compile(r"^#\s*sent_id\s*=\s*(.*)$")
 
 
 class MalformedLine(MedlatinError):
@@ -96,7 +95,6 @@ class Token:
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
-    sent_id: str | None = None
     comments: tuple[str, ...] = ()
 
 
@@ -104,7 +102,6 @@ class Sentence:
 class Document:
     sentences: tuple[Sentence, ...]
     source_name: str = field(default="<unnamed>", compare=False)
-    provenance: tuple[str, ...] = field(default=(), compare=False)
 
     def token_count(self) -> int:
         return sum(len(s.tokens) for s in self.sentences)
@@ -183,7 +180,6 @@ def parse_conllu(text: str, source_name: str = "<string>",
     comments: list[str] = []
     tokens: list[Token] = []
     first_comment_line = 0
-    dropped = 0
     feats_table: dict[str, tuple[tuple[str, str], ...]] = {}  # FEATS column -> ufeats
 
     def flush() -> None:
@@ -196,13 +192,7 @@ def parse_conllu(text: str, source_name: str = "<string>",
         for pos, tok in enumerate(tokens):
             if tok.id != pos + 1:
                 raise NonConsecutiveIds(sent_index)
-        sent_id = None
-        for c in comments:
-            m = _SENT_ID_COMMENT.match(c)
-            if m:
-                sent_id = m.group(1).strip()
-                break
-        sentences.append(Sentence(tuple(tokens), sent_id, tuple(comments)))
+        sentences.append(Sentence(tuple(tokens), tuple(comments)))
         comments = []
         tokens = []
 
@@ -230,7 +220,6 @@ def parse_conllu(text: str, source_name: str = "<string>",
         if not raw_id.isdecimal():
             if _RANGE_ID.match(raw_id) or _EMPTY_NODE_ID.match(raw_id):
                 if drop_unsupported:
-                    dropped += 1
                     continue
                 raise UnsupportedToken(line_no, raw_id)
             raise MalformedLine(line_no, f"token id {raw_id!r} is not a positive integer")
@@ -242,11 +231,7 @@ def parse_conllu(text: str, source_name: str = "<string>",
         tokens.append(Token(int(raw_id), form, lemma, upos, ufeats, misc,
                             (xpos, head, deprel, deps)))
     flush()
-
-    provenance = ()
-    if dropped:
-        provenance = (f"dropped {dropped} unsupported token line(s)",)
-    return Document(tuple(sentences), source_name, provenance)
+    return Document(tuple(sentences), source_name)
 
 
 def read_conllu(path: str, drop_unsupported: bool = False) -> Document:
@@ -278,21 +263,15 @@ def serialize(doc: Document) -> str:
 
 
 def concat_documents(docs: list[Document], source_name: str) -> Document:
-    """Concatenate documents in order, merging provenance."""
-    sentences: list[Sentence] = []
-    provenance: list[str] = []
-    for d in docs:
-        sentences.extend(d.sentences)
-        provenance.extend(d.provenance)
-    return Document(tuple(sentences), source_name, tuple(provenance))
+    """Concatenate documents' sentences in order."""
+    return Document(tuple(s for d in docs for s in d.sentences), source_name)
 
 
 def relabel(doc: Document, task: str, labels: Iterable[Iterable[str]]) -> Document:
     """Copy of doc with the task's label of every token replaced: labels
     holds one label sequence per sentence, written through TASKS[task].write.
-    The copy keeps the document's name and provenance."""
+    The copy keeps the document's name and each sentence's comments."""
     write = TASKS[task].write
-    return Document(tuple(Sentence(tuple(map(write, s.tokens, sentence_labels)),
-                                   s.sent_id, s.comments)
+    return Document(tuple(Sentence(tuple(map(write, s.tokens, sentence_labels)), s.comments)
                           for s, sentence_labels in zip(doc.sentences, labels)),
-                    doc.source_name, doc.provenance)
+                    doc.source_name)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
-from .conllu import Document
+from .conllu import UPOS_TAGS, Document
 from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_array, json_row, json_string,
                      read_model_file, write_model_file)
 
@@ -224,7 +224,8 @@ def lemmatize(model: LemmatizerModel, query: LemmaQuery) -> str:
 
 
 def parse_wire_query(line: str) -> LemmaQuery:
-    """Parse the "form:UPOS" wire format; forms containing ':' are rejected."""
+    """Parse the "form:UPOS" wire format; forms containing ':' and a UPOS
+    that is not a UPOS tag (or "_") are rejected."""
     if line.count(":") != 1:
         raise MedlatinError(
             f"query {line!r} must be exactly 'form:UPOS' with a single colon "
@@ -232,6 +233,8 @@ def parse_wire_query(line: str) -> LemmaQuery:
     form, upos = line.split(":")
     if not form:
         raise MedlatinError(f"query {line!r} has an empty form")
+    if upos not in UPOS_TAGS:
+        raise MedlatinError(f"query {line!r} has UPOS {upos!r}, which is not a UPOS tag")
     return LemmaQuery(form, upos)
 
 

@@ -104,9 +104,6 @@ class Registry:
     def __iter__(self):
         return iter(self._datasets)
 
-    def __len__(self) -> int:
-        return len(self._datasets)
-
     def get(self, name: str) -> DatasetDescriptor:
         try:
             return self._by_name[name]
@@ -190,9 +187,7 @@ def load_dataset(registry: Registry, name: str, drop_unsupported: bool = False) 
     desc = registry.get(name)
     if not desc.paths:
         raise UnknownDataset(f"{name} (registered without paths)")
-    docs = [read_conllu(path, drop_unsupported) for path in desc.paths]
-    doc = concat_documents(docs, source_name=name)
-    return Document(doc.sentences, name, tuple(f"file:{p}" for p in desc.paths) + doc.provenance)
+    return concat_documents([read_conllu(path, drop_unsupported) for path in desc.paths], name)
 
 
 def load_registry(path: str) -> Registry:

@@ -23,9 +23,10 @@ persisted with its provenance.  execute takes the runs of the whole grid
 at once and returns one ResultRow per (run, test genre), the one result
 record: the results store holds rows keyed by (run_id, genre, task), so
 re-runs replace rather than duplicate, and compare reads them.  compare
-returns data, the best and worst entry of each (genre, task) column; the
-CLI renders it as a table.  predict_document writes its predictions onto
-a copy of the gold document through conllu.relabel.
+returns data, a tuple of one ComparisonEntry per (genre, task, scenario)
+cell with each (genre, task) column's best and worst marked; the CLI
+renders it as a table.  predict_document writes its predictions onto a
+copy of the gold document through conllu.relabel.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class RunPlan:
         if len(set(ids)) != len(ids):
             raise ValueError("run_ids must be unique within a plan")
 
-    def evaluation_count(self) -> int:
-        return sum(len(r.test_datasets) for r in self.runs)
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -115,19 +113,6 @@ class ComparisonEntry:
     accuracy: Decimal
     is_best: bool
     is_worst: bool
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    entries: tuple[ComparisonEntry, ...] = ()
-
-    def best(self, genre: str, task: str) -> set[str]:
-        return {e.scenario for e in self.entries
-                if e.genre == genre and e.task == task and e.is_best}
-
-    def worst(self, genre: str, task: str) -> set[str]:
-        return {e.scenario for e in self.entries
-                if e.genre == genre and e.task == task and e.is_worst}
 
 
 def plan(scenario: Scenario, registry: Registry) -> RunPlan:
@@ -307,8 +292,9 @@ def merge_results_file(path: str, new_rows: list[ResultRow]) -> None:
         write_results_file(path, list(merged.values()))
 
 
-def compare(rows: list[ResultRow]) -> ComparisonReport:
-    """Mark, per (genre, task) column, the best and worst scenario entries.
+def compare(rows: list[ResultRow]) -> tuple[ComparisonEntry, ...]:
+    """One entry per (genre, task, scenario) cell, sorted in that order,
+    marking each (genre, task) column's best and worst scenario entries.
 
     Ties mark every tied entry; a single-entry column is both best and worst.
     Of rows with the same (scenario, genre, task), the last one counts.
@@ -330,4 +316,4 @@ def compare(rows: list[ResultRow]) -> ComparisonReport:
                 is_best=accuracy == best_val,
                 is_worst=accuracy == worst_val,
             ))
-    return ComparisonReport(tuple(entries))
+    return tuple(entries)

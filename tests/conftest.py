@@ -28,7 +28,7 @@ def tok(i, form, lemma="_", upos="_", ufeats="_", misc="_"):
 
 
 def sent(*tokens, comments=()):
-    return Sentence(tuple(tokens), None, tuple(comments))
+    return Sentence(tuple(tokens), tuple(comments))
 
 
 def doc(*sentences, name="test"):

@@ -124,7 +124,7 @@ def make_sentence(items: list[tuple], sent_id: str) -> Sentence:
     tokens = tuple(make_token(i + 1, item) for i, item in enumerate(items))
     text = " ".join(item[0] for item in items)
     comments = (f"# sent_id = {sent_id}", f"# text = {text}")
-    return Sentence(tokens, sent_id, comments)
+    return Sentence(tokens, comments)
 
 
 def sample_corpus(name: str, pool: list[tuple], n_sentences: int, seed: int) -> Document:
@@ -175,7 +175,6 @@ def special_roundtrip_docs() -> list[tuple[str, Document]]:
                   "_", ("B3", "0", "root", "0:root")),
             Token(3, ".", ".", "PUNCT", (), "_", ("Punc", "2", "punct", "2:punct")),
         ),
-        "deps-s1",
         ("# sent_id = deps-s1", "# text = regina laudat."),
     ),), "deps")
     docs.append(("rt_opaque_columns.conllu", deps))
@@ -189,7 +188,6 @@ def special_roundtrip_docs() -> list[tuple[str, Document]]:
             Token(4, "1amXI", "_", "SYM"),
             Token(5, ".", ".", "PUNCT"),
         ),
-        "sym-s1",
         ("# sent_id = sym-s1", "# text = angulus AB est 1amXI ."),
     ),), "sym")
     docs.append(("rt_sym_tokens.conllu", sym))
@@ -212,7 +210,6 @@ def special_roundtrip_docs() -> list[tuple[str, Document]]:
             Token(2, "ciuitas", "ciuitas", "NOUN", feats_tuple("Case=Nom|Gender=Fem|Number=Sing")),
             Token(3, "est", "sum", "AUX"),
         ),
-        "utf8-s1",
         ("# sent_id = utf8-s1", "# text = Kraków ciuitas est", "# source = liber maior"),
     ),), "utf8")
     docs.append(("rt_utf8_misc.conllu", utf8))
@@ -225,7 +222,6 @@ def special_roundtrip_docs() -> list[tuple[str, Document]]:
             Token(1, "item", "item", "_"),
             Token(2, "notatum", "_", "_"),
         ),
-        None,
         ("# unannotated fragment",),
     ),), "underscore")
     docs.append(("rt_unannotated.conllu", underscore_upos))

@@ -275,9 +275,13 @@ def test_lemmatize_run_rejects_colon_in_form(tmp_path, capsys):
     model = tmp_path / "lemma.json"
     run_cli(["lemmatize", "train", "--in", str(train_file), "--out", str(model)])
     queries = tmp_path / "queries.txt"
-    queries.write_text("a:b:VERB\n", encoding="utf-8")
-    assert run_cli(["lemmatize", "run", "--model", str(model),
-                    "--in", str(queries)]) == 1
+    out = tmp_path / "lemmas.txt"
+    for query in ("a:b:VERB", "ducam:noun", "regis:FOO", "regis:"):
+        queries.write_text(f"res:NOUN\n{query}\n", encoding="utf-8")
+        assert run_cli(["lemmatize", "run", "--model", str(model),
+                        "--in", str(queries), "--out", str(out)]) == 1
+        assert f"{queries}: line 2: query {query!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_scenario_run_and_compare_cli(tmp_path, capsys):
@@ -434,6 +438,40 @@ def test_analyze_genres_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Annals\t1\t1.0000" in out
     assert "Science\t0\t0.0000" in out
+
+
+def same_basename_pairs(tmp_path):
+    """--gold/--pred arguments for two pairs whose gold files are both named
+    x.conllu: pair a has three lemma and UPOS errors, pair b has one."""
+    argv, golds = [], []
+    for sub, wrong in (("a", 3), ("b", 1)):
+        (tmp_path / sub).mkdir()
+        gold, pred = tmp_path / sub / "x.conllu", tmp_path / sub / "pred.conllu"
+        gold.write_text("".join(f"{i}\tuideo\tuideo\tVERB\t_\t_\t_\t_\t_\t_\n"
+                                for i in range(1, 5)) + "\n", encoding="utf-8")
+        pred.write_text("".join(f"{i}\tuideo\t{'video' if i <= wrong else 'uideo'}\t"
+                                f"{'NOUN' if i <= wrong else 'VERB'}\t_\t_\t_\t_\t_\t_\n"
+                                for i in range(1, 5)) + "\n", encoding="utf-8")
+        argv += ["--gold", str(gold), "--pred", str(pred)]
+        golds.append(str(gold))
+    return argv, golds
+
+
+@pytest.mark.parametrize("report, row", [("confusions", "initial\tu:v\t4"),
+                                         ("pos", "VERB\tNOUN\t4")], ids=["confusions", "pos"])
+def test_analyze_counts_every_pair_of_a_repeated_label(tmp_path, capsys, report, row):
+    argv, _ = same_basename_pairs(tmp_path)
+    assert run_cli(["--machine", "analyze", *argv, "--report", report]) == 0
+    assert row in capsys.readouterr().out.splitlines()
+
+
+def test_analyze_genres_rejects_a_repeated_label(tmp_path, capsys):
+    argv, (gold_a, gold_b) = same_basename_pairs(tmp_path)
+    assert run_cli(["analyze", *argv, "--report", "genres"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: MedlatinError: genre 'x.conllu' labels two file pairs, "
+            f"gold {gold_a} and {gold_b}") in captured.err
 
 
 def test_config_file_supplies_registry(tmp_path, capsys):

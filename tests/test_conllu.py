@@ -76,16 +76,23 @@ def test_empty_node_rejected():
         parse_conllu(text)
 
 
-def test_drop_unsupported_records_provenance():
+def test_drop_unsupported_equals_parsing_without_those_lines():
     text = (
+        "# sent_id = s1\n"
         "1-2\tdelle\t_\t_\t_\t_\t_\t_\t_\t_\n"
         "1\tde\tde\tADP\t_\t_\t_\t_\t_\t_\n"
         "2\tille\tille\tDET\t_\t_\t_\t_\t_\t_\n"
+        "2.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "\n"
+        "0.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "1\tuenit\tuenio\tVERB\t_\t_\t_\t_\t_\t_\n"
         "\n"
     )
+    supported = "".join(line for line in text.splitlines(keepends=True)
+                        if not re.match(r"\d+[-.]\d+\t", line))
     d = parse_conllu(text, drop_unsupported=True)
-    assert len(d.sentences[0].tokens) == 2
-    assert any("dropped 1" in p for p in d.provenance)
+    assert d == parse_conllu(supported)
+    assert [len(s.tokens) for s in d.sentences] == [2, 1]
 
 
 def test_invalid_upos_rejected():
@@ -126,7 +133,6 @@ def test_comments_emitted_before_tokens_in_order():
         "\n"
     )
     d = parse_conllu(text)
-    assert d.sentences[0].sent_id == "a-1"
     assert d.sentences[0].comments == ("# sent_id = a-1", "# text = arma")
     assert serialize(d) == text
 
@@ -177,7 +183,7 @@ _SENT_ID = _COLUMN.map(str.strip).filter(bool)
 @st.composite
 def canonical_documents(draw):
     """Documents already in canonical form: ids from 1, sorted unique FEATS
-    keys, and a sent_id that its comment line reads back."""
+    keys, and optional sent_id and text comment lines."""
     sentences = []
     for _ in range(draw(st.integers(0, 4))):
         tokens = []
@@ -193,7 +199,7 @@ def canonical_documents(draw):
         comments = () if sent_id is None else (f"# sent_id = {sent_id}",)
         if draw(st.booleans()):
             comments += (f"# text = {draw(_COLUMN)}",)
-        sentences.append(Sentence(tuple(tokens), sent_id, comments))
+        sentences.append(Sentence(tuple(tokens), comments))
     return Document(tuple(sentences), "random")
 
 
@@ -215,7 +221,6 @@ def reference_parse_conllu(text, source_name="<string>", drop_unsupported=False)
         text = text[1:]
     sentences, comments, tokens = [], [], []
     first_comment_line = 0
-    dropped = 0
 
     def flush():
         nonlocal comments, tokens
@@ -227,13 +232,7 @@ def reference_parse_conllu(text, source_name="<string>", drop_unsupported=False)
         for pos, token in enumerate(tokens):
             if token.id != pos + 1:
                 raise NonConsecutiveIds(sent_index)
-        sent_id = None
-        for c in comments:
-            m = re.match(r"^#\s*sent_id\s*=\s*(.*)$", c)
-            if m:
-                sent_id = m.group(1).strip()
-                break
-        sentences.append(Sentence(tuple(tokens), sent_id, tuple(comments)))
+        sentences.append(Sentence(tuple(tokens), tuple(comments)))
         comments, tokens = [], []
 
     lines = text.split("\n")
@@ -258,7 +257,6 @@ def reference_parse_conllu(text, source_name="<string>", drop_unsupported=False)
         raw_id = fields[0]
         if re.match(r"^\d+-\d+$", raw_id) or re.match(r"^\d+\.\d+$", raw_id):
             if drop_unsupported:
-                dropped += 1
                 continue
             raise UnsupportedToken(line_no, raw_id)
         if not re.match(r"^\d+$", raw_id):
@@ -271,17 +269,16 @@ def reference_parse_conllu(text, source_name="<string>", drop_unsupported=False)
             extra_cols=(fields[4], fields[6], fields[7], fields[8]),
         ))
     flush()
-    provenance = (f"dropped {dropped} unsupported token line(s)",) if dropped else ()
-    return Document(tuple(sentences), source_name, provenance)
+    return Document(tuple(sentences), source_name)
 
 
 def parse_outcome(parse, text, drop_unsupported):
-    """The parsed document with its provenance, or the error's type and message."""
+    """The parsed document with its name, or the error's type and message."""
     try:
         d = parse(text, "gen", drop_unsupported)
     except MedlatinError as exc:
         return type(exc), str(exc)
-    return d, d.source_name, d.provenance
+    return d, d.source_name
 
 
 # Ids that replace a token's position: "" is an empty column; "١٢" is
@@ -370,14 +367,14 @@ def test_read_conllu_missing_file_names_path(tmp_path):
         read_conllu(path)
 
 
-def test_relabel_writes_each_label_and_keeps_name_and_provenance():
+def test_relabel_writes_each_label_and_keeps_name():
     gold = Document((sent(tok(1, "Roma", "Roma", "PROPN"), tok(2, "est", "sum", "AUX")),
                      sent(tok(1, "uale", "ualeo", "VERB"), comments=("# sent_id = b",))),
-                    "gold.conllu", ("file:gold.conllu", "dropped 1 unsupported token line(s)"))
+                    "gold.conllu")
     out = relabel(gold, "upos", iter([["NOUN", "VERB"], ["INTJ"]]))
     assert [[t.upos for t in s.tokens] for s in out.sentences] == [["NOUN", "VERB"], ["INTJ"]]
     assert out.sentences[1].comments == ("# sent_id = b",)
-    assert (out.source_name, out.provenance) == (gold.source_name, gold.provenance)
+    assert out.source_name == gold.source_name
     lemmas = relabel(gold, "lemma", [["roma", "sum"], ["ualeo"]])
     assert lemmas.sentences[0].tokens[0].lemma == "roma"
     with pytest.raises(ValueError, match="is not a UPOS tag"):

@@ -176,6 +176,7 @@ def test_training_set_accuracy_on_tie_free_corpus():
 def test_wire_query_parsing():
     q = parse_wire_query("adducam:VERB")
     assert q == LemmaQuery("adducam", "VERB")
+    assert parse_wire_query("regis:_") == LemmaQuery("regis", "_")
 
 
 def test_wire_query_rejects_colon_in_form():
@@ -185,6 +186,9 @@ def test_wire_query_rejects_colon_in_form():
         parse_wire_query("plain")
     with pytest.raises(MedlatinError):
         parse_wire_query(":VERB")
+    for line in ("ducam:noun", "regis:FOO", "regis:"):
+        with pytest.raises(MedlatinError, match="is not a UPOS tag"):
+            parse_wire_query(line)
 
 
 def test_model_file_roundtrip(tmp_path):

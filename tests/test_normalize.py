@@ -235,7 +235,7 @@ def lemma_documents(draw):
         tokens = tuple(Token(i + 1, f"w{i}", lemma, draw(st.sampled_from(["NOUN", "PROPN"])))
                        for i, lemma in enumerate(lemmas))
         comments = (f"# sent_id = s{s}",) if draw(st.booleans()) else ()
-        sentences.append(Sentence(tokens, f"s{s}" if comments else None, comments))
+        sentences.append(Sentence(tokens, comments))
     return Document(tuple(sentences), "generated")
 
 

@@ -75,7 +75,7 @@ def test_validate_stats_division_by_zero():
 
 def test_reference_registry_flags():
     reg = reference_registry()
-    assert len(reg) == 10
+    assert len(reg.names()) == 10
     assert reg.ud_treebanks() == ["PROIEL", "Perseus", "LLCT", "ITTB", "UDante"]
     at_05 = {n for n, v in validate_registry(reg, "0.05").items() if not v.consistent}
     at_02 = {n for n, v in validate_registry(reg, "0.02").items() if not v.consistent}

@@ -38,7 +38,7 @@ def test_plan_counts_on_reference_registry():
     assert len(plan(Scenario("ud_all"), reg).runs) == 3
     specific = plan(Scenario("ud_plus_specific"), reg)
     assert len(specific.runs) == 15
-    assert specific.evaluation_count() == 75
+    assert sum(len(run.test_datasets) for run in specific.runs) == 75
     assert len(plan(Scenario("ud_plus_efontes"), reg).runs) == 15
 
 
@@ -358,6 +358,12 @@ def result_rows(grid):
             for (scenario, genre, task), accuracy in grid.items()]
 
 
+def marked(entries, genre, task):
+    """(best, worst): the scenarios that compare marks best and worst in one column."""
+    column = [e for e in entries if (e.genre, e.task) == (genre, task)]
+    return {e.scenario for e in column if e.is_best}, {e.scenario for e in column if e.is_worst}
+
+
 def test_compare_biography_upos_column():
     values = {
         "baseline": "95.43", "ud_all": "90.19", "ud_plus_ittb": "89.58",
@@ -366,28 +372,24 @@ def test_compare_biography_upos_column():
         "ud_plus_efontes": "96.10",
     }
     grid = {(scenario, "Biography", "upos"): Decimal(v) for scenario, v in values.items()}
-    report = compare(result_rows(grid))
-    assert report.best("Biography", "upos") == {"ud_plus_efontes"}
-    assert report.worst("Biography", "upos") == {"ud_plus_proiel"}
+    entries = compare(result_rows(grid))
+    assert marked(entries, "Biography", "upos") == ({"ud_plus_efontes"}, {"ud_plus_proiel"})
 
 
 def test_compare_single_scenario_is_both_best_and_worst():
-    report = compare(result_rows({("only", "G", "upos"): Decimal("50.00")}))
-    assert report.best("G", "upos") == {"only"}
-    assert report.worst("G", "upos") == {"only"}
+    entries = compare(result_rows({("only", "G", "upos"): Decimal("50.00")}))
+    assert marked(entries, "G", "upos") == ({"only"}, {"only"})
 
 
 def test_compare_ties_mark_all():
     grid = {("a", "G", "upos"): Decimal("80.00"), ("b", "G", "upos"): Decimal("80.00")}
-    report = compare(result_rows(grid))
-    assert report.best("G", "upos") == {"a", "b"}
-    assert report.worst("G", "upos") == {"a", "b"}
+    entries = compare(result_rows(grid))
+    assert marked(entries, "G", "upos") == ({"a", "b"}, {"a", "b"})
 
 
 def test_compare_never_unique_best_and_worst_in_multi_entry_column():
     grid = {("a", "G", "upos"): Decimal("80.00"), ("b", "G", "upos"): Decimal("70.00")}
-    report = compare(result_rows(grid))
-    for entry in report.entries:
+    for entry in compare(result_rows(grid)):
         assert not (entry.is_best and entry.is_worst)
 
 
