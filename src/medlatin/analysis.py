@@ -1,9 +1,11 @@
 """Character-level error analysis for lemmatization and POS predictions.
 
-Gold and predicted lemmas are aligned at minimum edit distance; maximal
-contiguous runs of non-matching operations collapse into one confusion
-pattern each ("u:v", "a:us", "h:"), which is what makes multi-character
-patterns possible at all.  Positions are anchored on the gold string:
+Gold and predicted lemmas are aligned at minimum edit distance (the
+Wagner-Fischer table).  The traceback reads each maximal run of edits
+straight off as one confusion pattern ("u:v", "a:us", "h:"), by the gold
+and predicted indices where the run starts and ends, which is what makes
+multi-character patterns possible at all.  Positions are anchored on the
+gold string:
 
     initial  the run touches gold index 0 (or inserts before it);
              a whole-word run counts as initial
@@ -17,27 +19,13 @@ and the mined table must be reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 
 from .conllu import TASKS, Document
-from .errors import MedlatinError
 from .evaluation import EvalReport, check_alignment
 
-MATCH, SUB, DEL, INS = "match", "sub", "del", "ins"
-
 POSITION_ORDER = {"initial": 0, "middle": 1, "final": 2}
-
-
-class IdenticalStrings(MedlatinError):
-    pass
-
-
-@dataclass(frozen=True)
-class AlignmentOp:
-    op: str
-    gold: str = ""
-    pred: str = ""
 
 
 @dataclass(frozen=True)
@@ -57,8 +45,13 @@ class GenreErrorDistribution:
     shares: dict[str, float] | None  # None when there are no errors at all
 
 
-def align_chars(gold: str, pred: str) -> list[AlignmentOp]:
-    """Minimum-edit-distance alignment with deterministic traceback."""
+def extract_patterns(gold: str, pred: str) -> list[tuple[str, str, str]]:
+    """Each maximal run of edits in a minimum-edit-distance alignment, as a
+    (gold_sub, pred_sub, position) triple; equal strings give none.
+
+    A run spans gold[gi:ge] (gi == ge for a pure insertion): it is initial
+    if gi is 0, else final if ge is len(gold), else middle.
+    """
     m, n = len(gold), len(pred)
     dp = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
@@ -73,64 +66,46 @@ def align_chars(gold: str, pred: str) -> list[AlignmentOp]:
                 row[j] = prev_row[j - 1]
             else:
                 row[j] = 1 + min(prev_row[j - 1], prev_row[j], row[j - 1])
-    ops: list[AlignmentOp] = []
+    patterns: list[tuple[str, str, str]] = []
     i, j = m, n
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and gold[i - 1] == pred[j - 1] and dp[i][j] == dp[i - 1][j - 1]:
-            ops.append(AlignmentOp(MATCH, gold[i - 1], pred[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1:
-            ops.append(AlignmentOp(SUB, gold[i - 1], pred[j - 1]))
+    run_end = None  # (ge, pe) of the run of edits the traceback is inside
+    while True:
+        # equal characters always fill the cell from its diagonal, so a
+        # match needs no check of the table
+        matched = i > 0 and j > 0 and gold[i - 1] == pred[j - 1]
+        if run_end is not None and (matched or i == j == 0):
+            ge, pe = run_end
+            position = "initial" if i == 0 else "final" if ge == m else "middle"
+            patterns.append((gold[i:ge], pred[j:pe], position))
+            run_end = None
+        if i == j == 0:
+            break
+        if not matched and run_end is None:
+            run_end = (i, j)
+        if matched or (i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1):
             i, j = i - 1, j - 1
         elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
-            ops.append(AlignmentOp(DEL, gold[i - 1]))
-            i = i - 1
+            i -= 1
         else:
-            ops.append(AlignmentOp(INS, "", pred[j - 1]))
-            j = j - 1
-    ops.reverse()
-    return ops
-
-
-def extract_patterns(gold: str, pred: str) -> list[tuple[str, str, str]]:
-    """Collapse each maximal run of non-match ops into one (gold_sub,
-    pred_sub, position) triple.
-
-    A run spans gold[start:end] (start == end for a pure insertion): it is
-    initial if start is 0, else final if end is len(gold), else middle.
-    """
-    if gold == pred:
-        raise IdenticalStrings(f"{gold!r} equals its prediction")
-    patterns: list[tuple[str, str, str]] = []
-    start = 0  # gold index where the next run of ops starts
-    for is_match, run in groupby(align_chars(gold, pred), key=lambda op: op.op == MATCH):
-        run = list(run)
-        if is_match:
-            start += len(run)
-            continue
-        run_gold = "".join([op.gold for op in run])
-        end = start + len(run_gold)
-        position = "initial" if start == 0 else "final" if end == len(gold) else "middle"
-        patterns.append((run_gold, "".join([op.pred for op in run]), position))
-        start = end
+            j -= 1
+    patterns.reverse()
     return patterns
 
 
 def mine_confusions(errors: list[tuple[str, str]]) -> list[ConfusionPattern]:
     """Aggregate per-pair patterns into counted confusion patterns.
 
+    Each distinct lowercased pair is aligned once and its patterns count
+    as often as the pair occurs; pairs equal after lowercasing yield none.
     Output is grouped by position (initial, middle, final) with counts
     descending inside each group, ties broken lexicographically: the layout
-    of a positional confusion table.  Pairs that are identical after
-    lowercasing are skipped (they are not errors).
+    of a positional confusion table.
     """
-    counts: dict[tuple[str, str, str], int] = {}
-    for gold, pred in errors:
-        gold, pred = gold.lower(), pred.lower()
-        if gold == pred:
-            continue
+    pairs = Counter((gold.lower(), pred.lower()) for gold, pred in errors)
+    counts: Counter[tuple[str, str, str]] = Counter()
+    for (gold, pred), pair_count in pairs.items():
         for key in extract_patterns(gold, pred):
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] += pair_count
     patterns = [ConfusionPattern(g, p, pos, c) for (g, p, pos), c in counts.items()]
     patterns.sort(key=lambda cp: (POSITION_ORDER[cp.position], -cp.count,
                                   cp.gold_sub, cp.pred_sub))

@@ -89,11 +89,12 @@ def apply_rules(ruleset: Ruleset, word: str) -> str:
 
 def normalize_word(ruleset: Ruleset, word: str) -> str:
     """Casing-aware wrapper: rewrites on the lowercase form and restores an
-    initial capital, so capitalized proper nouns stay capitalized."""
-    if not word:
-        return word
+    initial capital, so capitalized proper nouns stay capitalized.  A word
+    no rule changes comes back as it was (III, SPQR, iPhone)."""
     lowered = word.lower()
     rewritten = apply_rules(ruleset, lowered)
+    if rewritten == lowered:
+        return word
     if word[0].isupper() and rewritten:
         return rewritten[0].upper() + rewritten[1:]
     return rewritten

@@ -60,7 +60,8 @@ class MissingDataset(MedlatinError):
 
 
 class LabelClash(MedlatinError):
-    """A UD treebank whose ud_plus_specific label is another kind's label."""
+    """A UD treebank whose ud_plus_specific label is another kind's label,
+    or two runs of one grid that would share a run id."""
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,21 @@ def execute(runs: list[TrainingRun], registry: Registry, output_dir: str,
     """Train each run, evaluate it on its test sets and save its model, one
     run at a time; then merge every run's rows into the results store.
 
-    The validation fraction, the models directory and the results store's
-    lock file are checked before the first run trains.  If a run fails, the
+    The run ids, the validation fraction, the models directory and the
+    results store's lock file are checked before the first run trains: two
+    runs with one id would save one model file, so a repeated id raises
+    LabelClash before the models directory is made.  If a run fails, the
     models of the runs before it stay saved and the results store is left
     as it was.  Returns one row per (run, test set), in run order.  Two
     executions with the same arguments return equal rows and write
     byte-identical files.
     """
+    labels: dict[str, str] = {}
+    for run in runs:
+        if run.run_id in labels:
+            raise LabelClash(f"run id {run.run_id!r} is shared by a {labels[run.run_id]!r} "
+                             f"run and a {run.scenario_label!r} run")
+        labels[run.run_id] = run.scenario_label
     split_for_validation((), validation_fraction)  # raises for a fraction out of range
     models_dir = os.path.join(output_dir, "models")
     results_path = os.path.join(output_dir, "results.tsv")

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from medlatin.analysis import MATCH
+from medlatin.analysis import extract_patterns
 from medlatin.conllu import Document, Sentence, Token
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -12,9 +12,14 @@ MINI_REGISTRY = os.path.join(MINI_DIR, "registry.cfg")
 TOY_CORPUS = os.path.join(FIXTURES, "toy_suffix_tags.conllu")
 
 
-def alignment_cost(ops) -> int:
-    """The number of edits in an align_chars alignment."""
-    return sum(1 for op in ops if op.op != MATCH)
+def alignment_cost(gold: str, pred: str) -> int:
+    """The number of edits in the alignment extract_patterns walks.
+
+    In a minimal alignment no run of edits holds both a deletion and an
+    insertion, since one substitution would cost less; so each run costs
+    the length of its longer side.
+    """
+    return sum(max(len(g), len(p)) for g, p, _ in extract_patterns(gold, pred))
 
 
 def feats(spec: str) -> tuple:

@@ -1,39 +1,116 @@
 import random
+from dataclasses import dataclass
+from itertools import groupby
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medlatin.analysis import (DEL, INS, MATCH, SUB, ConfusionPattern, IdenticalStrings,
-                               align_chars, extract_patterns,
+from medlatin.analysis import (POSITION_ORDER, ConfusionPattern, extract_patterns,
                                genre_distribution, lemma_error_pairs,
                                mine_confusions, pos_confusions)
 from medlatin.evaluation import evaluate
 from conftest import alignment_cost, simple_doc
 
 
-def ops(gold, pred):
-    return [(o.op, o.gold, o.pred) for o in align_chars(gold, pred)]
+# The op-list alignment and the groupby run collapsing that extract_patterns
+# replaced, kept as the reference it is tested against.
+
+MATCH, SUB, DEL, INS = "match", "sub", "del", "ins"
 
 
-def test_align_uideo_video():
-    assert ops("uideo", "video") == [
-        ("sub", "u", "v"), ("match", "i", "i"), ("match", "d", "d"),
-        ("match", "e", "e"), ("match", "o", "o")]
+class IdenticalStrings(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class AlignmentOp:
+    op: str
+    gold: str = ""
+    pred: str = ""
+
+
+def align_chars(gold: str, pred: str) -> list[AlignmentOp]:
+    """Minimum-edit-distance alignment with deterministic traceback."""
+    m, n = len(gold), len(pred)
+    dp = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        dp[i][0] = i
+    for j in range(1, n + 1):
+        dp[0][j] = j
+    for i in range(1, m + 1):
+        row, prev_row = dp[i], dp[i - 1]
+        g_char = gold[i - 1]
+        for j in range(1, n + 1):
+            if g_char == pred[j - 1]:
+                row[j] = prev_row[j - 1]
+            else:
+                row[j] = 1 + min(prev_row[j - 1], prev_row[j], row[j - 1])
+    ops: list[AlignmentOp] = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and gold[i - 1] == pred[j - 1] and dp[i][j] == dp[i - 1][j - 1]:
+            ops.append(AlignmentOp(MATCH, gold[i - 1], pred[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1:
+            ops.append(AlignmentOp(SUB, gold[i - 1], pred[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            ops.append(AlignmentOp(DEL, gold[i - 1]))
+            i = i - 1
+        else:
+            ops.append(AlignmentOp(INS, "", pred[j - 1]))
+            j = j - 1
+    ops.reverse()
+    return ops
+
+
+def reference_extract_patterns(gold: str, pred: str) -> list[tuple[str, str, str]]:
+    """Collapse each maximal run of non-match ops into one (gold_sub,
+    pred_sub, position) triple.
+
+    A run spans gold[start:end] (start == end for a pure insertion): it is
+    initial if start is 0, else final if end is len(gold), else middle.
+    """
+    if gold == pred:
+        raise IdenticalStrings(f"{gold!r} equals its prediction")
+    patterns: list[tuple[str, str, str]] = []
+    start = 0  # gold index where the next run of ops starts
+    for is_match, run in groupby(align_chars(gold, pred), key=lambda op: op.op == MATCH):
+        run = list(run)
+        if is_match:
+            start += len(run)
+            continue
+        run_gold = "".join([op.gold for op in run])
+        end = start + len(run_gold)
+        position = "initial" if start == 0 else "final" if end == len(gold) else "middle"
+        patterns.append((run_gold, "".join([op.pred for op in run]), position))
+        start = end
+    return patterns
+
+
+def reference_mine_confusions(errors: list[tuple[str, str]]) -> list[ConfusionPattern]:
+    """The per-copy mining loop mine_confusions replaced."""
+    counts: dict[tuple[str, str, str], int] = {}
+    for gold, pred in errors:
+        gold, pred = gold.lower(), pred.lower()
+        if gold == pred:
+            continue
+        for key in reference_extract_patterns(gold, pred):
+            counts[key] = counts.get(key, 0) + 1
+    patterns = [ConfusionPattern(g, p, pos, c) for (g, p, pos), c in counts.items()]
+    patterns.sort(key=lambda cp: (POSITION_ORDER[cp.position], -cp.count,
+                                  cp.gold_sub, cp.pred_sub))
+    return patterns
 
 
 def test_align_identical():
-    assert ops("abc", "abc") == [("match", "a", "a"), ("match", "b", "b"), ("match", "c", "c")]
-
-
-def test_align_gratia_gracia():
-    result = ops("gratia", "gracia")
-    assert result[3] == ("sub", "t", "c")
-    assert sum(1 for o in result if o[0] != "match") == 1
+    assert extract_patterns("abc", "abc") == []
+    assert extract_patterns("idem", "idem") == []
+    assert extract_patterns("", "") == []
 
 
 def _levenshtein(a: str, b: str) -> int:
-    """Independent two-row DP, no shared code with align_chars."""
+    """Independent two-row DP, no shared code with extract_patterns."""
     if len(a) < len(b):
         a, b = b, a
     previous = list(range(len(b) + 1))
@@ -49,7 +126,7 @@ def _levenshtein(a: str, b: str) -> int:
 @settings(max_examples=800, deadline=None)
 @given(a=st.text("abcde", max_size=12), b=st.text("abcde", max_size=12))
 def test_alignment_cost_matches_levenshtein_oracle(a, b):
-    assert alignment_cost(align_chars(a, b)) == _levenshtein(a, b)
+    assert alignment_cost(a, b) == _levenshtein(a, b)
 
 
 def test_extract_patterns_initial_sub():
@@ -151,12 +228,37 @@ def old_extract_patterns(gold, pred):
 @settings(max_examples=2000, deadline=None)
 @given(st.text("abuv:", max_size=7), st.text("abuv:", max_size=7))
 def test_extract_patterns_matches_old_state_machine(gold, pred):
+    joined = [(f"{g}:{p}", position) for g, p, position in extract_patterns(gold, pred)]
+    assert joined == ([] if gold == pred else old_extract_patterns(gold, pred))
+
+
+@settings(max_examples=2500, deadline=None)
+@given(st.text("abuv:", max_size=8), st.text("abuv:", max_size=8), st.booleans())
+def test_extract_patterns_matches_groupby_reference(gold, pred, equal):
+    if equal:
+        pred = gold
     if gold == pred:
-        with pytest.raises(IdenticalStrings):
-            extract_patterns(gold, pred)
+        assert extract_patterns(gold, pred) == []
     else:
-        joined = [(f"{g}:{p}", position) for g, p, position in extract_patterns(gold, pred)]
-        assert joined == old_extract_patterns(gold, pred)
+        assert extract_patterns(gold, pred) == reference_extract_patterns(gold, pred)
+
+
+_WORD = st.text("abuvAUV:", max_size=6)
+
+
+@st.composite
+def _error_lists(draw):
+    """Lists that repeat pairs, vary their case and hold equal pairs."""
+    pool = draw(st.lists(st.tuples(_WORD, _WORD), min_size=1, max_size=6))
+    pool += [(gold, gold) for gold, _ in pool] + [(gold.upper(), pred.swapcase())
+                                                   for gold, pred in pool]
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_error_lists())
+def test_mine_confusions_matches_per_copy_reference(errors):
+    assert mine_confusions(errors) == reference_mine_confusions(errors)
 
 
 def test_patterns_keep_a_colon_on_either_side():
@@ -166,11 +268,6 @@ def test_patterns_keep_a_colon_on_either_side():
     assert extract_patterns("a:b", "a;b") == [(":", ";", "middle")]
     assert mine_confusions([(":", "."), ("a:b", "a;b"), ("a:b", "a;b")]) == [
         ConfusionPattern(":", ".", "initial", 1), ConfusionPattern(":", ";", "middle", 2)]
-
-
-def test_extract_patterns_identical_strings_error():
-    with pytest.raises(IdenticalStrings):
-        extract_patterns("idem", "idem")
 
 
 def test_mine_confusions_aggregates_identical_pairs():

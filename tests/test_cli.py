@@ -790,6 +790,23 @@ def test_scenario_run_all_plans_every_kind_before_training(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_scenario_run_rejects_two_runs_with_one_id(tmp_path, capsys):
+    # The ud_plus_specific upos run of treebank efontes__lemma and the
+    # ud_plus_efontes lemma run held out on genre upos would both save
+    # models/ud_plus_efontes__lemma__upos.json.
+    registry = _registry_of_mini_files(tmp_path, {
+        "Annals": ("efontes_genre", "annals.conllu"),
+        "upos": ("efontes_genre", "science.conllu"),
+        "efontes__lemma": ("ud_treebank", "ud_alpha.conllu")})
+    out = tmp_path / "out"
+    assert run_cli(["scenario", "run", "--scenario", "all", "--epochs", "1",
+                    "--registry", registry, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: LabelClash: run id 'ud_plus_efontes__lemma__upos' is shared by a "
+        "'ud_plus_efontes__lemma' run and a 'ud_plus_efontes' run\n")
+    assert not out.exists()
+
+
 def test_scenario_run_failure_in_a_later_kind_adds_no_rows(tmp_path, capsys):
     (tmp_path / "broken.conllu").write_text("1\tuideo\n\n", encoding="utf-8")
     registry = _registry_of_mini_files(

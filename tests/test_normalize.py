@@ -98,6 +98,11 @@ def test_normalize_word_restores_initial_capital():
     assert normalize_word(default_gold_ruleset(), "gracia") == "gratia"
 
 
+def test_normalize_word_keeps_the_case_of_words_no_rule_changes():
+    for word in ("III", "SPQR", "iPhone"):
+        assert normalize_word(default_gold_ruleset(), word) == word
+
+
 def test_rule_field_validation():
     with pytest.raises(ValueError):
         RewriteRule("r", "", "x", "anywhere")
