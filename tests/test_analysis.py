@@ -105,7 +105,6 @@ def reference_mine_confusions(errors: list[tuple[str, str]]) -> list[ConfusionPa
 
 def test_align_identical():
     assert extract_patterns("abc", "abc") == []
-    assert extract_patterns("idem", "idem") == []
     assert extract_patterns("", "") == []
 
 
@@ -268,6 +267,12 @@ def test_patterns_keep_a_colon_on_either_side():
     assert extract_patterns("a:b", "a;b") == [(":", ";", "middle")]
     assert mine_confusions([(":", "."), ("a:b", "a;b"), ("a:b", "a;b")]) == [
         ConfusionPattern(":", ".", "initial", 1), ConfusionPattern(":", ";", "middle", 2)]
+
+
+def test_extract_patterns_identical_strings_error():
+    # Equal strings are no error: they hold no run of edits, so no patterns.
+    assert extract_patterns("idem", "idem") == []
+    assert mine_confusions([("idem", "idem"), ("Idem", "idem")]) == []
 
 
 def test_mine_confusions_aggregates_identical_pairs():
