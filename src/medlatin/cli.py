@@ -238,15 +238,18 @@ def cmd_lemmatize_run(args) -> int:
 # -------------------------------------------------------------- scenario
 
 def _runs_from_args(args, registry: Registry) -> list[scenarios_mod.TrainingRun]:
-    """The runs of every selected kind, all planned before any run trains."""
+    """The runs of every selected kind, all planned before any run trains;
+    two runs with one id, even of two kinds, raise LabelClash."""
     if args.scenario is None:
         raise UsageError("a scenario kind is required (--scenario or config key 'scenario')")
     if args.scenario != "all" and args.scenario not in scenarios_mod.SCENARIO_KINDS:
         raise UsageError(f"unknown scenario {args.scenario!r}")
     tasks = _task_names(args.tasks, "--tasks") if args.tasks else tuple(TASKS)
     kinds = list(scenarios_mod.SCENARIO_KINDS) if args.scenario == "all" else [args.scenario]
-    return [run for kind in kinds for run in scenarios_mod.plan(scenarios_mod.Scenario(
+    runs = [run for kind in kinds for run in scenarios_mod.plan(scenarios_mod.Scenario(
         kind, tasks, args.ud if kind == "ud_plus_specific" else None), registry).runs]
+    scenarios_mod.check_run_ids(runs)
+    return runs
 
 
 def cmd_scenario_plan(args) -> int:

@@ -86,15 +86,23 @@ class TrainingRun:
     test_datasets: tuple[str, ...]
 
 
+def check_run_ids(runs) -> None:
+    """Raise LabelClash if two runs share a run id: they would save one model file."""
+    labels: dict[str, str] = {}
+    for run in runs:
+        if run.run_id in labels:
+            raise LabelClash(f"run id {run.run_id!r} is shared by a {labels[run.run_id]!r} "
+                             f"run and a {run.scenario_label!r} run")
+        labels[run.run_id] = run.scenario_label
+
+
 @dataclass(frozen=True)
 class RunPlan:
     scenario: Scenario
     runs: tuple[TrainingRun, ...]
 
     def __post_init__(self):
-        ids = [r.run_id for r in self.runs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("run_ids must be unique within a plan")
+        check_run_ids(self.runs)
 
 
 @dataclass(frozen=True)
@@ -205,12 +213,7 @@ def execute(runs: list[TrainingRun], registry: Registry, output_dir: str,
     executions with the same arguments return equal rows and write
     byte-identical files.
     """
-    labels: dict[str, str] = {}
-    for run in runs:
-        if run.run_id in labels:
-            raise LabelClash(f"run id {run.run_id!r} is shared by a {labels[run.run_id]!r} "
-                             f"run and a {run.scenario_label!r} run")
-        labels[run.run_id] = run.scenario_label
+    check_run_ids(runs)
     split_for_validation((), validation_fraction)  # raises for a fraction out of range
     models_dir = os.path.join(output_dir, "models")
     results_path = os.path.join(output_dir, "results.tsv")

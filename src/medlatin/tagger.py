@@ -13,7 +13,12 @@ the lexicographically smallest tag, so an untrained model with zero weights
 tags everything with the first tag of the sorted tagset.
 
 extract_features emits a token's features in a fixed order that is their
-sorted order, so it neither sorts nor deduplicates them.
+sorted order, so it neither sorts nor deduplicates them.  It builds only the
+previous-tag feature per call: every other feature string comes from its
+own word form or a neighbour's, through _form_features, a memo of at most
+FORM_MEMO_SIZE (2048) distinct forms that drops the least recently used.
+The memo changes no feature and no count of calls; it holds ~1.7 MB when
+full.
 
 Weights are stored feature-major, as in Honnibal's "A good POS tagger in
 about 200 lines of Python" (2013): feature string -> {tag index: weight}.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite
 
 from .conllu import TASKS, Sentence
@@ -48,6 +54,9 @@ BOUNDARY = "<s>"
 END_BOUNDARY = "</s>"
 
 MODEL_FORMAT = "medlatin-tagger/1"
+
+# Distinct word forms whose features _form_features keeps, ~880 bytes each.
+FORM_MEMO_SIZE = 2048
 
 REFERENCE_FINETUNE_CONFIG = {
     "batch_size": 12,
@@ -82,13 +91,44 @@ class TaggerModel:
     config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_FINETUNE_CONFIG))
 
 
+@lru_cache(maxsize=FORM_MEMO_SIZE)
+def _form_features(form: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], str, str]:
+    """What a word form gives the features of its own token and its neighbours'.
+
+    Returns its flags, its p1= to p4= features, its s1= to s4= features and
+    w=, then the nw= feature of the token before it and the pw= feature of
+    the token after it.  An empty form gives no flags and no affixes.
+    """
+    low = form.lower()
+    flags = ()
+    if form.isupper():
+        flags += ("all_caps",)
+    if any(map(str.isdigit, form)):
+        flags += ("has_digit",)
+    if form[:1].isupper():
+        flags += ("is_cap",)
+    n = min(4, len(low))
+    return (flags,
+            (f"p1={low[:1]}", f"p2={low[:2]}", f"p3={low[:3]}", f"p4={low[:4]}")[:n],
+            (f"s1={low[-1:]}", f"s2={low[-2:]}", f"s3={low[-3:]}", f"s4={low[-4:]}")[:n]
+            + (f"w={low}",),
+            f"nw={low}", f"pw={low}")
+
+
+_NW_END = f"nw={END_BOUNDARY}"
+_PW_START = f"pw={BOUNDARY}"
+
+
 def extract_features(sentence: Sentence, index: int, prev_tag: str = BOUNDARY) -> tuple[str, ...]:
     """Deterministic sparse features for one token, in sorted order.
 
     The features come out in a fixed order that is also their sorted order:
     all_caps, has_digit, is_cap, nw=, p1= to p4=, pt=, pw=, s1= to s4=,
     w=.  Every two of these differ within their first two characters, so
-    that order does not depend on the token and no feature repeats.
+    that order does not depend on the token and no feature repeats.  Only
+    pt= is built per call; the rest come from _form_features.  A token with
+    an empty form raises IndexError; a neighbour with one gives "nw=" or
+    "pw=".
 
     prev_tag is decoding state: gold previous tag during training (teacher
     forcing), predicted previous tag during greedy decoding.
@@ -97,22 +137,12 @@ def extract_features(sentence: Sentence, index: int, prev_tag: str = BOUNDARY) -
     if not 0 <= index < len(tokens):
         raise IndexOutOfRange(f"token index {index} out of range")
     form = tokens[index].form
-    low = form.lower()
-    flags = ()
-    if form.isupper():
-        flags += ("all_caps",)
-    if any(map(str.isdigit, form)):
-        flags += ("has_digit",)
-    if form[0].isupper():
-        flags += ("is_cap",)
-    n = min(4, len(low))
-    next_form = tokens[index + 1].form.lower() if index + 1 < len(tokens) else END_BOUNDARY
-    prev_form = tokens[index - 1].form.lower() if index > 0 else BOUNDARY
-    return (flags + (f"nw={next_form}",)
-            + (f"p1={low[:1]}", f"p2={low[:2]}", f"p3={low[:3]}", f"p4={low[:4]}")[:n]
-            + (f"pt={prev_tag}", f"pw={prev_form}")
-            + (f"s1={low[-1:]}", f"s2={low[-2:]}", f"s3={low[-3:]}", f"s4={low[-4:]}")[:n]
-            + (f"w={low}",))
+    if not form:
+        raise IndexError("string index out of range")
+    flags, prefixes, tail, _, _ = _form_features(form)
+    next_word = _form_features(tokens[index + 1].form)[3] if index + 1 < len(tokens) else _NW_END
+    prev_word = _form_features(tokens[index - 1].form)[4] if index else _PW_START
+    return flags + (next_word,) + prefixes + (f"pt={prev_tag}", prev_word) + tail
 
 
 def _best_index(tagset: tuple[str, ...], weights: dict[str, dict[int, float]],

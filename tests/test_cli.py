@@ -790,21 +790,32 @@ def test_scenario_run_all_plans_every_kind_before_training(tmp_path, capsys, mon
     assert not out.exists()
 
 
+# The ud_plus_specific upos run of treebank efontes__lemma and the
+# ud_plus_efontes lemma run held out on genre upos would both save
+# models/ud_plus_efontes__lemma__upos.json.
+REPEATED_RUN_ID = {"Annals": ("efontes_genre", "annals.conllu"),
+                   "upos": ("efontes_genre", "science.conllu"),
+                   "efontes__lemma": ("ud_treebank", "ud_alpha.conllu")}
+REPEATED_RUN_ID_ERROR = (
+    "error: LabelClash: run id 'ud_plus_efontes__lemma__upos' is shared by a "
+    "'ud_plus_efontes__lemma' run and a 'ud_plus_efontes' run\n")
+
+
 def test_scenario_run_rejects_two_runs_with_one_id(tmp_path, capsys):
-    # The ud_plus_specific upos run of treebank efontes__lemma and the
-    # ud_plus_efontes lemma run held out on genre upos would both save
-    # models/ud_plus_efontes__lemma__upos.json.
-    registry = _registry_of_mini_files(tmp_path, {
-        "Annals": ("efontes_genre", "annals.conllu"),
-        "upos": ("efontes_genre", "science.conllu"),
-        "efontes__lemma": ("ud_treebank", "ud_alpha.conllu")})
+    registry = _registry_of_mini_files(tmp_path, REPEATED_RUN_ID)
     out = tmp_path / "out"
     assert run_cli(["scenario", "run", "--scenario", "all", "--epochs", "1",
                     "--registry", registry, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: LabelClash: run id 'ud_plus_efontes__lemma__upos' is shared by a "
-        "'ud_plus_efontes__lemma' run and a 'ud_plus_efontes' run\n")
+    assert capsys.readouterr().err == REPEATED_RUN_ID_ERROR
     assert not out.exists()
+
+
+def test_scenario_plan_rejects_two_runs_with_one_id(tmp_path, capsys):
+    registry = _registry_of_mini_files(tmp_path, REPEATED_RUN_ID)
+    assert run_cli(["scenario", "plan", "--scenario", "all", "--registry", registry]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == REPEATED_RUN_ID_ERROR
 
 
 def test_scenario_run_failure_in_a_later_kind_adds_no_rows(tmp_path, capsys):

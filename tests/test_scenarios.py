@@ -183,7 +183,7 @@ def test_plan_rejects_treebank_labelled_like_ud_plus_efontes(name):
 
 def test_run_ids_unique_enforced():
     run = TrainingRun("same", "x", "upos", (("A",),), ("B",))
-    with pytest.raises(ValueError):
+    with pytest.raises(LabelClash, match="run id 'same' is shared by a 'x' run and a 'x' run"):
         RunPlan(Scenario("baseline"), (run, run))
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medlatin.conllu import TASKS
+from medlatin.conllu import TASKS, concat_documents
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.registry import load_dataset, load_registry
-from medlatin.tagger import (BOUNDARY, END_BOUNDARY, MODEL_FORMAT, REFERENCE_FINETUNE_CONFIG,
-                             IndexOutOfRange, TaggerModel, TaskMismatch, TrainingStage,
-                             _best_index, extract_features, load_model,
-                             save_model, tag, train)
+from medlatin.tagger import (BOUNDARY, END_BOUNDARY, FORM_MEMO_SIZE, MODEL_FORMAT,
+                             REFERENCE_FINETUNE_CONFIG, IndexOutOfRange, TaggerModel, TaskMismatch,
+                             TrainingStage, _best_index, _form_features, extract_features,
+                             load_model, save_model, tag, train)
 
 from conftest import MINI_REGISTRY, sent, simple_doc, tok
 
@@ -107,6 +107,86 @@ def test_extract_features_matches_set_and_sort_reference(forms, prev_tag):
         else:
             with pytest.raises(IndexOutOfRange):
                 extract_features(s, index, prev_tag)
+
+
+# Reference implementation: the fixed-order extractor that built every
+# feature string on every call, before _form_features memoized them per form.
+
+def per_call_extract_features(sentence, index, prev_tag=BOUNDARY):
+    tokens = sentence.tokens
+    if not 0 <= index < len(tokens):
+        raise IndexOutOfRange(f"token index {index} out of range")
+    form = tokens[index].form
+    low = form.lower()
+    flags = ()
+    if form.isupper():
+        flags += ("all_caps",)
+    if any(map(str.isdigit, form)):
+        flags += ("has_digit",)
+    if form[0].isupper():
+        flags += ("is_cap",)
+    n = min(4, len(low))
+    next_form = tokens[index + 1].form.lower() if index + 1 < len(tokens) else END_BOUNDARY
+    prev_form = tokens[index - 1].form.lower() if index > 0 else BOUNDARY
+    return (flags + (f"nw={next_form}",)
+            + (f"p1={low[:1]}", f"p2={low[:2]}", f"p3={low[:3]}", f"p4={low[:4]}")[:n]
+            + (f"pt={prev_tag}", f"pw={prev_form}")
+            + (f"s1={low[-1:]}", f"s2={low[-2:]}", f"s3={low[-3:]}", f"s4={low[-4:]}")[:n]
+            + (f"w={low}",))
+
+
+def outcome(extract, sentence, index, prev_tag):
+    """The features extract returns, or the type and arguments of what it raises."""
+    try:
+        return extract(sentence, index, prev_tag)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+def assert_matches_per_call_reference(s, prev_tag):
+    for index in range(-1, len(s.tokens) + 1):
+        assert (outcome(extract_features, s, index, prev_tag)
+                == outcome(per_call_extract_features, s, index, prev_tag))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms=st.lists(st.text("aAeEzZß09²٣İ=|", max_size=6), min_size=1, max_size=4),
+       prev_tag=st.text(max_size=6))
+@example(forms=["", "a"], prev_tag="NOUN")  # an empty form raises; as a neighbour it does not
+@example(forms=["a", "", "B"], prev_tag="NOUN")
+def test_extract_features_matches_per_call_reference_cold_and_warm(forms, prev_tag):
+    s = sent(*(tok(i + 1, form) for i, form in enumerate(forms)))
+    _form_features.cache_clear()
+    assert_matches_per_call_reference(s, prev_tag)  # cold: each form misses once
+    misses = _form_features.cache_info().misses
+    assert_matches_per_call_reference(s, prev_tag)  # warm: every lookup hits
+    assert _form_features.cache_info().misses == misses
+
+
+def test_extract_features_matches_per_call_reference_through_eviction():
+    forms = [f"Form{i}" for i in range(FORM_MEMO_SIZE + 500)]
+    s = sent(*(tok(i + 1, form) for i, form in enumerate(forms)))
+    _form_features.cache_clear()
+    for _ in range(2):  # the second pass asks again for the forms the first evicted
+        assert_matches_per_call_reference(s, "NOUN")
+    info = _form_features.cache_info()
+    assert info.currsize == FORM_MEMO_SIZE
+    assert info.misses > len(forms)  # some form was looked up again after its eviction
+
+
+@pytest.mark.parametrize("task", ["upos", "ufeats"])
+def test_training_and_tagging_do_not_depend_on_the_memo(tmp_path, task):
+    registry = load_registry(MINI_REGISTRY)
+    corpus = concat_documents([load_dataset(registry, name) for name in registry.names()], "mini")
+    results = []
+    for clear in (True, False):  # a cold memo, then the one the first pass left
+        if clear:
+            _form_features.cache_clear()
+        model = train(corpus, task, epochs=3, seed=4)
+        path = tmp_path / f"{clear}.json"
+        save_model(model, str(path))
+        results.append((path.read_bytes(), model.weights, all_tags(model, corpus)))
+    assert results[0] == results[1]
 
 
 def test_toy_corpus_converges_to_100_within_10_epochs(toy_corpus):
