@@ -244,7 +244,7 @@ def _runs_from_args(args, registry: Registry) -> list[scenarios_mod.TrainingRun]
         raise UsageError("a scenario kind is required (--scenario or config key 'scenario')")
     if args.scenario != "all" and args.scenario not in scenarios_mod.SCENARIO_KINDS:
         raise UsageError(f"unknown scenario {args.scenario!r}")
-    tasks = _task_names(args.tasks, "--tasks") if args.tasks else tuple(TASKS)
+    tasks = tuple(TASKS) if args.tasks is None else _task_names(args.tasks, "--tasks")
     kinds = list(scenarios_mod.SCENARIO_KINDS) if args.scenario == "all" else [args.scenario]
     runs = [run for kind in kinds for run in scenarios_mod.plan(scenarios_mod.Scenario(
         kind, tasks, args.ud if kind == "ud_plus_specific" else None), registry).runs]

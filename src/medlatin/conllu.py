@@ -15,9 +15,20 @@ are kept verbatim and never interpreted.
 Dependency-related columns (XPOS, HEAD, DEPREL, DEPS) are carried opaquely
 and re-emitted verbatim; they are never interpreted.
 
+Tokens are frozen, so equal tokens may be one shared object: one parse
+builds one Token per distinct token line and reuses it for every repeat of
+that line.  Only lines that parse cleanly are shared, so every error and
+the line it names are those of a parse that shares nothing.
+
 relabel is the one way a document's labels are rewritten: prediction and
 lemma normalization both copy a document through it, one label per token
-written through the task's row of TASKS.
+written through the task's row of TASKS.  Every label is parsed and
+checked; a token that already holds the label's value is kept as it is,
+and only the tokens whose label changes are copied.
+
+Token.feats_string renders FEATS through _feats_text, memoized like
+_feats_label (4096 entries each), so training, evaluation and
+serialization render each distinct FEATS value once.
 """
 
 from __future__ import annotations
@@ -87,9 +98,7 @@ class Token:
     extra_cols: tuple[str, str, str, str] = ("_", "_", "_", "_")
 
     def feats_string(self) -> str:
-        if not self.ufeats:
-            return "_"
-        return "|".join(f"{k}={v}" for k, v in self.ufeats)
+        return _feats_text(self.ufeats)
 
 
 @dataclass(frozen=True)
@@ -131,13 +140,18 @@ def _upos_label(label: str) -> str:
     return label
 
 
-@lru_cache(maxsize=4096)  # tagsets are closed, so a few hundred labels recur
+@lru_cache(maxsize=4096)  # tagsets are closed, so a few hundred values recur
+def _feats_text(ufeats: tuple[tuple[str, str], ...]) -> str:
+    return "|".join(map("=".join, ufeats)) or "_"
+
+
+@lru_cache(maxsize=4096)
 def _feats_label(label: str) -> tuple[tuple[str, str], ...]:
     try:
         ufeats = feats_from_string(label, 0)
     except MalformedLine as exc:
         raise ValueError(f"label {label!r} is not a FEATS string: {exc.detail}") from None
-    if ("|".join(map("=".join, ufeats)) or "_") != label or "\t" in label or "\n" in label:
+    if _feats_text(ufeats) != label or "\t" in label or "\n" in label:
         raise ValueError(f"label {label!r} is not a canonical FEATS string")
     return ufeats
 
@@ -154,7 +168,10 @@ class Task(NamedTuple):
     tagger: bool
 
     def write(self, tok: Token, label: str) -> Token:
-        return replace(tok, **{self.name: self.parse(label)})
+        value = self.parse(label)
+        if getattr(tok, self.name) == value:
+            return tok
+        return replace(tok, **{self.name: value})
 
 
 # Lemmas are read lowercased, since gold corpora may capitalize proper nouns.
@@ -181,6 +198,7 @@ def parse_conllu(text: str, source_name: str = "<string>",
     tokens: list[Token] = []
     first_comment_line = 0
     feats_table: dict[str, tuple[tuple[str, str], ...]] = {}  # FEATS column -> ufeats
+    token_table: dict[str, Token] = {}  # token line that parsed cleanly -> its Token
 
     def flush() -> None:
         nonlocal comments, tokens
@@ -210,6 +228,10 @@ def parse_conllu(text: str, source_name: str = "<string>",
                 first_comment_line = line_no
             comments.append(line)
             continue
+        tok = token_table.get(line)
+        if tok is not None:
+            tokens.append(tok)
+            continue
         fields = line.split("\t")
         if len(fields) != 10:
             raise MalformedLine(line_no, f"expected 10 tab-separated fields, got {len(fields)}")
@@ -228,8 +250,9 @@ def parse_conllu(text: str, source_name: str = "<string>",
         ufeats = feats_table.get(raw_feats)
         if ufeats is None:
             ufeats = feats_table[raw_feats] = feats_from_string(raw_feats, line_no)
-        tokens.append(Token(int(raw_id), form, lemma, upos, ufeats, misc,
-                            (xpos, head, deprel, deps)))
+        tok = token_table[line] = Token(int(raw_id), form, lemma, upos, ufeats, misc,
+                                        (xpos, head, deprel, deps))
+        tokens.append(tok)
     flush()
     return Document(tuple(sentences), source_name)
 

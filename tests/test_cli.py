@@ -370,12 +370,15 @@ def test_scenario_compare_rejects_store_without_rows(tmp_path, capsys):
     (["scenario", "plan", "--scenario", "ud_all", "--tasks", "upos,upos"], None),
     (["scenario", "run", "--scenario", "ud_all", "--tasks", "lemma,lemma", "--out", "OUT"], None),
     (["scenario", "plan", "--scenario", "ud_all"], "tasks = upos,bogus\n"),
+    (["scenario", "plan", "--scenario", "all", "--tasks", ""], None),
+    (["scenario", "run", "--scenario", "all", "--tasks", "", "--out", "OUT"], None),
+    (["scenario", "plan", "--scenario", "all"], "tasks =\n"),
     (["eval", "--gold", "GOLD", "--pred", "GOLD", "--fields", "upos,bogus"], None),
     (["eval", "--gold", "GOLD", "--pred", "GOLD", "--fields", "upos,upos"], None),
     (["analyze", "--gold", "GOLD", "--pred", "GOLD", "--report", "genres",
       "--field", "bogus"], None),
 ], ids=["plan-unknown", "run-unknown", "plan-repeated", "run-repeated", "config-unknown",
-        "eval-unknown", "eval-repeated", "analyze-unknown"])
+        "plan-empty", "run-empty", "config-empty", "eval-unknown", "eval-repeated", "analyze-unknown"])
 def test_bad_task_names_are_usage_errors(tmp_path, capsys, argv, config):
     gold = tmp_path / "gold.conllu"
     gold.write_text(GOLD, encoding="utf-8")

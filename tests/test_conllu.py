@@ -1,13 +1,14 @@
 import glob
 import os
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medlatin.conllu import (UPOS_TAGS, Document, InvalidUpos, MalformedLine,
-                             NonConsecutiveIds, Sentence, Token,
+from medlatin.conllu import (TASKS, UPOS_TAGS, Document, InvalidUpos,
+                             MalformedLine, NonConsecutiveIds, Sentence, Token,
                              UnsupportedToken, feats_from_string, parse_conllu,
                              read_conllu, relabel, serialize)
 from medlatin.errors import MedlatinError
@@ -203,6 +204,24 @@ def canonical_documents(draw):
     return Document(tuple(sentences), "random")
 
 
+def reference_feats_string(ufeats):
+    """Token.feats_string before it went through _feats_text."""
+    if not ufeats:
+        return "_"
+    return "|".join(f"{k}={v}" for k, v in ufeats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ufeats=st.lists(st.tuples(st.text(max_size=4), st.text(max_size=4)),
+                       max_size=4).map(tuple))
+@example(ufeats=())
+@example(ufeats=(("", ""),))
+def test_feats_string_matches_reference(ufeats):
+    token = Token(1, "x", ufeats=ufeats)
+    assert token.feats_string() == reference_feats_string(ufeats)
+    assert token.feats_string() == reference_feats_string(ufeats)  # memoized
+
+
 @settings(max_examples=200, deadline=None)
 @given(d=canonical_documents())
 def test_random_documents_roundtrip(d):
@@ -323,9 +342,22 @@ def conllu_texts(draw):
               "1.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\n\n", drop_unsupported=True)
 @example(text="# sent_id = a\n# text = x\n\n1\tx\tx\tNOUN\t_\t_\t_\t_\t_\t_\n\n",
          drop_unsupported=False)
+@example(text="1\ta\ta\tNOUN\t_\t_\t_\t_\t_\t_\n\n"
+              "1\ta\ta\tNOUN\t_\t_\t_\t_\t_\t_\n1\ta\ta\tNOUN\t_\t_\t_\t_\t_\t_\n\n",
+         drop_unsupported=False)
 def test_parse_conllu_matches_reference(text, drop_unsupported):
     assert (parse_outcome(parse_conllu, text, drop_unsupported)
             == parse_outcome(reference_parse_conllu, text, drop_unsupported))
+
+
+def test_identical_token_lines_share_one_token():
+    line = "1\tarma\tarma\tNOUN\t_\tCase=Nom\t_\t_\t_\t_\n"
+    other = "1\tarma\tarmum\tNOUN\t_\tCase=Nom\t_\t_\t_\t_\n"
+    d = parse_conllu(line + "\n" + line.replace("\n", "\r\n") + "\n" + other + "\n")
+    first, again, differs = (s.tokens[0] for s in d.sentences)
+    assert again is first
+    assert differs is not first and differs.lemma == "armum"
+    assert d == reference_parse_conllu(line + "\n" + line + "\n" + other + "\n")
 
 
 def test_repeated_bad_feats_error_names_its_first_line():
@@ -379,3 +411,73 @@ def test_relabel_writes_each_label_and_keeps_name():
     assert lemmas.sentences[0].tokens[0].lemma == "roma"
     with pytest.raises(ValueError, match="is not a UPOS tag"):
         relabel(gold, "upos", [["BOGUS", "VERB"], ["INTJ"]])
+
+
+# Reference implementation: Task.write and relabel before a token that
+# already holds its label's value was kept as it is.
+
+def reference_write(task, tok, label):
+    return replace(tok, **{task.name: task.parse(label)})
+
+
+def reference_relabel(d, task, labels):
+    def write(tok, label):
+        return reference_write(TASKS[task], tok, label)
+    return Document(tuple(Sentence(tuple(map(write, s.tokens, sentence_labels)), s.comments)
+                          for s, sentence_labels in zip(d.sentences, labels)),
+                    d.source_name)
+
+
+OTHER_LABELS = {"upos": ["NOUN", "VERB", "X", "_"],
+                "ufeats": ["_", "Case=Nom", "Case=Nom|Number=Sing"],
+                "lemma": ["_", "arma", "Arma"]}
+INVALID_LABELS = {"upos": ["NN", "noun", ""],
+                  "ufeats": ["Number=Sing|Case=Nom", "Case", "Case=Nom|Case=Acc", ""],
+                  "lemma": []}
+
+
+@st.composite
+def relabellings(draw):
+    """A document, a task and one label per token: the token's own value,
+    its lemma in another case, another valid label, or an invalid one."""
+    d = draw(canonical_documents())
+    task = draw(st.sampled_from(sorted(TASKS)))
+    labels = []
+    for sentence in d.sentences:
+        sentence_labels = []
+        for token in sentence.tokens:
+            own = token.feats_string() if task == "ufeats" else getattr(token, task)
+            kind = draw(st.sampled_from(["own"] * 4 + ["case", "other", "invalid"]))
+            if kind == "case" and task == "lemma":
+                label = draw(st.sampled_from([own.upper(), own.lower(), own.swapcase()]))
+            elif kind == "invalid" and INVALID_LABELS[task]:
+                label = draw(st.sampled_from(INVALID_LABELS[task]))
+            elif kind == "own":
+                label = own
+            else:
+                label = draw(st.sampled_from(OTHER_LABELS[task]))
+            sentence_labels.append(label)
+        labels.append(sentence_labels)
+    return d, task, labels
+
+
+def relabel_outcome(relabel_fn, d, task, labels):
+    """The relabelled document with its name, or the error's type and message."""
+    try:
+        out = relabel_fn(d, task, iter([list(s) for s in labels]))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return out, out.source_name
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=relabellings())
+def test_relabel_matches_reference_and_keeps_unchanged_tokens(case):
+    d, task, labels = case
+    got = relabel_outcome(relabel, d, task, labels)
+    assert got == relabel_outcome(reference_relabel, d, task, labels)
+    if isinstance(got[0], Document):
+        for before, after, sentence_labels in zip(d.sentences, got[0].sentences, labels):
+            for old, new, label in zip(before.tokens, after.tokens, sentence_labels):
+                unchanged = getattr(old, task) == TASKS[task].parse(label)
+                assert (new is old) == unchanged
