@@ -496,6 +496,8 @@ def _apply_config(args) -> None:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     config = load_config(path) if path else {}
     args.output_dir = config.get("output_dir")
+    if getattr(args, "tasks", "") is None and "tasks" in config:
+        _task_names(config["tasks"], f"{path}: config key 'tasks'")
     for key in ("registry", "ruleset", "scenario", "tasks", "ud"):
         if getattr(args, key, None) is None and key in config:
             setattr(args, key, config[key])

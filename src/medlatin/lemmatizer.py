@@ -21,8 +21,9 @@ Forms are lowercased before lookup and output casing is lowercase.  Staged
 training merges counts additively, so continuing on a new corpus accumulates
 evidence instead of restarting.
 
-REFERENCE_SEQ2SEQ_CONFIG records the hyperparameters of the byte-level
-generation setup this classifier stands in for; metadata only.
+REFERENCE_SEQ2SEQ_CONFIG holds the hyperparameters of the byte-level
+generation setup this classifier stands in for; save_model writes them
+into every model file for provenance, and nothing here interprets them.
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ class LemmatizerModel:
     lexicon: dict[tuple[str, str], dict[str, int]]
     scripts: dict[tuple[str, str], dict[EditScript, int]]
     provenance: tuple = ()
-    config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_SEQ2SEQ_CONFIG))
     pooled: dict[str, dict[EditScript, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -195,7 +195,7 @@ def train_lemmatizer(corpus: Document, base: LemmatizerModel | None = None,
         "was_continued": base is not None,
     }
     provenance = (base.provenance if base is not None else ()) + (stage,)
-    return LemmatizerModel(lexicon, scripts, provenance, dict(REFERENCE_SEQ2SEQ_CONFIG))
+    return LemmatizerModel(lexicon, scripts, provenance)
 
 
 def _top(counter: dict):
@@ -270,7 +270,7 @@ def save_model(model: LemmatizerModel, path: str) -> None:
         "lexicon": JSONItems(_counts_rows(model.lexicon, json_string)),
         "scripts": JSONItems(_counts_rows(model.scripts, script_texts.__getitem__)),
         "provenance": list(model.provenance),
-        "config_metadata": model.config_metadata,
+        "config_metadata": REFERENCE_SEQ2SEQ_CONFIG,
     })
 
 
@@ -278,7 +278,8 @@ MODEL_SCHEMA = {"lexicon": list, "scripts": list, "provenance": list, "config_me
 
 
 def load_model(path: str) -> LemmatizerModel:
-    """Read a model file; a malformed one raises MedlatinError naming the path."""
+    """Read a model file; a malformed one raises MedlatinError naming the
+    path.  config_metadata must be an object and is not kept."""
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
 
 
@@ -303,4 +304,4 @@ def _model_from_payload(payload: dict) -> LemmatizerModel:
     for _, add_p, _, add_s, interior in set().union(*scripts.values()):
         "".join([add_p, add_s] + [text for _, old, new in interior for text in (old, new)])
     provenance = tuple(payload["provenance"])
-    return LemmatizerModel(lexicon, scripts, provenance, payload["config_metadata"])
+    return LemmatizerModel(lexicon, scripts, provenance)

@@ -29,20 +29,22 @@ order as a (feature, tag) lookup per tag would take it.  train and tag
 score through the same helper.  train reads each sentence's gold labels
 and their tag indices once per call, and keeps the lazy-averaging totals
 and timestamps in rows keyed like the weights.  Training drops zero
-weights and empty rows.  The feature vocabulary (feature -> id) serves
-only the model file, which lists the weights as [feature id, tag index,
-weight] rows sorted by feature id, then tag index, and training from a
-base model, which continues its ids.
+weights but keeps a row, empty if need be, for every feature it has seen,
+in first-seen order, so a feature's id is its row's position.  Only the
+model file names features by id: save_model works out its feature
+vocabulary (feature -> id) and its [feature id, tag index, weight] rows,
+sorted by feature id, then tag index, and load_model rebuilds the rows in
+id order, so training from a loaded base model continues its ids.
 
 REFERENCE_FINETUNE_CONFIG holds the hyperparameters of the full-scale
-fine-tuning setup this trainer stands in for; they are recorded in every
-model's metadata for provenance but are not interpreted here.
+fine-tuning setup this trainer stands in for; save_model writes them into
+every model file for provenance, and nothing here interprets them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
 
@@ -75,20 +77,15 @@ class IndexOutOfRange(MedlatinError):
 
 
 @dataclass(frozen=True)
-class TrainingStage:
-    datasets: tuple[str, ...]
-    epochs: int
-    was_continued: bool
-
-
-@dataclass(frozen=True)
 class TaggerModel:
+    """weights holds a row for every feature seen in training, in
+    first-seen order; provenance holds one {"datasets", "epochs",
+    "was_continued"} dict per training stage."""
+
     task: str
     tagset: tuple[str, ...]
-    feature_vocabulary: dict[str, int]
     weights: dict[str, dict[int, float]]
-    provenance: tuple[TrainingStage, ...] = ()
-    config_metadata: dict = field(default_factory=lambda: dict(REFERENCE_FINETUNE_CONFIG))
+    provenance: tuple[dict, ...] = ()
 
 
 @lru_cache(maxsize=FORM_MEMO_SIZE)
@@ -149,12 +146,12 @@ def _best_index(tagset: tuple[str, ...], weights: dict[str, dict[int, float]],
                 features) -> int:
     """Index of the best-scoring tag; a tie goes to the smallest tag.
 
-    A feature without a weight row adds nothing.
+    A feature without a weight row, or with an empty one, adds nothing.
     """
     scores = [0.0] * len(tagset)
     for f in features:
         row = weights.get(f)
-        if row is not None:
+        if row:
             for t_idx, w in row.items():
                 scores[t_idx] += w
     best = max(scores)
@@ -168,8 +165,8 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     """Averaged-perceptron training with greedy decoding and per-epoch shuffling.
 
     Deterministic given (corpus, task, epochs, base, seed).  When a base
-    model is given, its (averaged) weights, feature vocabulary and tagset
-    are the starting point and new tags/features are appended, so staged
+    model is given, its (averaged) weight rows and tagset are the
+    starting point and new tags/features are appended, so staged
     training continues rather than restarts.  epochs=0 performs no updates:
     the result predicts exactly like the base (or like a zero-weight model).
     """
@@ -184,10 +181,9 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
 
     if base is not None:
         tagset = list(base.tagset)
-        vocab = dict(base.feature_vocabulary)
         w = {f: dict(row) for f, row in base.weights.items()}
     else:
-        tagset, vocab, w = [], {}, {}
+        tagset, w = [], {}
     sentences = corpus.sentences
     labels = [list(map(TASKS[task].read, s.tokens)) for s in sentences]
     known = set(tagset)
@@ -219,11 +215,12 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
                 # so epoch 0 meets every feature, in first-seen order.
                 if not epoch:
                     for f in feats:
-                        vocab.setdefault(f, len(vocab))
+                        if f not in w:
+                            w[f] = {}
                 p_idx = _best_index(tagset_t, w, feats)
                 if p_idx != g_idx:
                     for f in feats:
-                        row = w.setdefault(f, {})
+                        row = w[f]
                         acc_row = acc.setdefault(f, {})
                         ts_row = ts.setdefault(f, {})
                         for t_idx, delta in ((g_idx, 1.0), (p_idx, -1.0)):
@@ -238,23 +235,20 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     averaged: dict[str, dict[int, float]] = {}
     for f, row in w.items():
         acc_row, ts_row = acc.get(f, {}), ts.get(f, {})
-        kept = {}
+        kept = averaged[f] = {}
         for t_idx, value in row.items():
             if step:
                 value = (acc_row.get(t_idx, 0.0) + (step - ts_row.get(t_idx, 0)) * value) / step
             if value != 0.0:
                 kept[t_idx] = value
-        if kept:
-            averaged[f] = kept
 
-    stage = TrainingStage(
-        datasets=datasets if datasets is not None else (corpus.source_name,),
-        epochs=epochs,
-        was_continued=base is not None,
-    )
+    stage = {
+        "datasets": list(datasets) if datasets is not None else [corpus.source_name],
+        "epochs": epochs,
+        "was_continued": base is not None,
+    }
     provenance = (base.provenance if base is not None else ()) + (stage,)
-    return TaggerModel(task, tagset_t, vocab, averaged, provenance,
-                       dict(REFERENCE_FINETUNE_CONFIG))
+    return TaggerModel(task, tagset_t, averaged, provenance)
 
 
 def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
@@ -271,28 +265,26 @@ def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
 _WEIGHT_ROW = json_row("%d", "%d", "%r")  # feature id, tag index, weight
 
 
-def _weight_rows(vocab: dict[str, int], weights: dict[str, dict[int, float]]):
-    """The weight rows' JSON texts, sorted by feature id, then tag index."""
-    for f_id, row in sorted((vocab[f], row) for f, row in weights.items()):
+def _weight_rows(weights: dict[str, dict[int, float]]):
+    """The weight rows' JSON texts, by feature id (row position), then tag index."""
+    for f_id, row in enumerate(weights.values()):
         for t, w in sorted(row.items()):
             yield _WEIGHT_ROW % (f_id, t, w)
 
 
 def save_model(model: TaggerModel, path: str) -> None:
-    vocab = model.feature_vocabulary
-    features = sorted(vocab)
+    """Write the model file; a feature's id is its weight row's position."""
+    ids = {f: str(f_id) for f_id, f in enumerate(model.weights)}
+    features = sorted(ids)
     write_model_file(path, {
         "format": MODEL_FORMAT,
         "task": model.task,
         "tagset": list(model.tagset),
-        "feature_vocabulary": JSONItems(
-            json_entries(features, map(str, map(vocab.__getitem__, features))), "{}"),
-        "weights": JSONItems(_weight_rows(vocab, model.weights)),
-        "provenance": [
-            {"datasets": list(s.datasets), "epochs": s.epochs, "was_continued": s.was_continued}
-            for s in model.provenance
-        ],
-        "config_metadata": model.config_metadata,
+        "feature_vocabulary": JSONItems(json_entries(features, map(ids.__getitem__, features)),
+                                        "{}"),
+        "weights": JSONItems(_weight_rows(model.weights)),
+        "provenance": list(model.provenance),
+        "config_metadata": REFERENCE_FINETUNE_CONFIG,
     })
 
 
@@ -309,7 +301,9 @@ def load_model(path: str) -> TaggerModel:
     training gives each new feature the next id.  Every weight row must
     name a feature id from the vocabulary, a tag index inside the tagset,
     because scoring indexes the tagset by it, and a finite int or float
-    weight, because save_model writes float.__repr__.
+    weight, because save_model writes float.__repr__.  The model gets a
+    row for every feature, in id order; config_metadata must be an object
+    and is not kept.
     """
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
 
@@ -331,20 +325,21 @@ def _model_from_payload(payload: dict) -> TaggerModel:
         raise ValueError("tagset must be a non-empty list of strings")
     for label in tagset:
         TASKS[task].parse(label)
-    vocab = {k: int(v) for k, v in payload["feature_vocabulary"].items()}
-    feature_of = {f_id: f for f, f_id in vocab.items()}
+    vocab = payload["feature_vocabulary"]
+    feature_of = {int(f_id): f for f, f_id in vocab.items()}
     if feature_of.keys() != set(range(len(vocab))):
         raise ValueError(f"the feature vocabulary must number its {len(vocab)} features "
                          f"0 to {len(vocab) - 1}, each once")
     n_tags = len(tagset)
-    weights: dict[str, dict[int, float]] = {}
+    weights = {feature_of[f_id]: {} for f_id in range(len(vocab))}
+    rows = list(weights.values())
     last = None  # save_model writes each feature id's rows one after another
     for f, t, w in payload["weights"]:
         f, t = int(f), int(t)
         if f != last:
             if f not in feature_of:
                 raise ValueError(f"weight row {[f, t, w]}: feature id {f} is not in the vocabulary")
-            row = weights.setdefault(feature_of[f], {})
+            row = rows[f]
             last = f
         if not 0 <= t < n_tags:
             raise ValueError(f"weight row {[f, t, w]}: tag index {t} is outside "
@@ -352,14 +347,7 @@ def _model_from_payload(payload: dict) -> TaggerModel:
         if w.__class__ is not float or not isfinite(w):
             w = _finite_weight(f, t, w)
         row[t] = w
-    return TaggerModel(
-        task=task,
-        tagset=tagset,
-        feature_vocabulary=vocab,
-        weights=weights,
-        provenance=tuple(
-            TrainingStage(tuple(s["datasets"]), int(s["epochs"]), bool(s["was_continued"]))
-            for s in payload["provenance"]
-        ),
-        config_metadata=payload["config_metadata"],
-    )
+    provenance = tuple({"datasets": list(s["datasets"]), "epochs": int(s["epochs"]),
+                        "was_continued": bool(s["was_continued"])}
+                       for s in payload["provenance"])
+    return TaggerModel(task, tagset, weights, provenance)

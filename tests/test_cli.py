@@ -391,6 +391,19 @@ def test_bad_task_names_are_usage_errors(tmp_path, capsys, argv, config):
     assert not (tmp_path / "out" / "results.tsv").exists()
 
 
+@pytest.mark.parametrize("value", ["upos,bogus", ""])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_tasks_usage_error_names_its_source(tmp_path, capsys, source, value):
+    cfg = tmp_path / "medlatin.cfg"
+    cfg.write_text(f"registry = {MINI_REGISTRY}\n"
+                   + (f"tasks = {value}\n" if source == "config" else ""), encoding="utf-8")
+    argv = ["--config", str(cfg), "scenario", "plan", "--scenario", "all"]
+    assert run_cli(argv + (["--tasks", value] if source == "flag" else [])) == 2
+    name = "--tasks" if source == "flag" else f"{cfg}: config key 'tasks'"
+    assert capsys.readouterr().err == (f"usage error: {name} {value!r}: tasks are upos, "
+                                       "ufeats, lemma, each at most once\n")
+
+
 def test_analyze_genres_misaligned_pair_names_genre(tmp_path, capsys):
     gold = tmp_path / "gold.conllu"
     pred = tmp_path / "pred.conllu"

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from medlatin.conllu import Document
 from medlatin.errors import EmptyCorpus, MedlatinError
-from medlatin.lemmatizer import (MAX_SUFFIX_KEY, MODEL_FORMAT, EditScript, LemmaQuery,
-                                 ScriptIncompatible, apply_edit_script, derive_edit_script,
-                                 lemmatize, load_model, parse_wire_query, save_model,
-                                 train_lemmatizer)
+from medlatin.lemmatizer import (MAX_SUFFIX_KEY, MODEL_FORMAT, REFERENCE_SEQ2SEQ_CONFIG,
+                                 EditScript, LemmaQuery, ScriptIncompatible, apply_edit_script,
+                                 derive_edit_script, lemmatize, load_model, parse_wire_query,
+                                 save_model, train_lemmatizer)
 from medlatin.registry import load_dataset, load_registry
 
 from conftest import MINI_REGISTRY, simple_doc
@@ -233,11 +233,14 @@ def test_load_model_rejects_malformed_file(tmp_path, edit, message):
         load_model(str(path))
 
 
-def test_config_metadata_recorded():
-    model = train_lemmatizer(_fixture_corpus())
-    assert model.config_metadata == {
-        "batch_size": 128, "epochs": 5, "input_sequence_length": 48,
-        "output_sequence_length": 24, "learning_rate": 0.001}
+def test_config_metadata_recorded(tmp_path):
+    base = train_lemmatizer(_fixture_corpus())
+    path = tmp_path / "lemma.json"
+    for model in (base, train_lemmatizer(_fixture_corpus(), base=base)):
+        save_model(model, str(path))
+        assert json.loads(path.read_text(encoding="utf-8"))["config_metadata"] == {
+            "batch_size": 128, "epochs": 5, "input_sequence_length": 48,
+            "output_sequence_length": 24, "learning_rate": 0.001}
 
 
 # The code the one-loop cascade, the pooled suffix index and the model-file
@@ -343,7 +346,7 @@ def json_dump_save_model(model, path):
             for (suffix, upos), counter in sorted(model.scripts.items())
         ],
         "provenance": list(model.provenance),
-        "config_metadata": model.config_metadata,
+        "config_metadata": REFERENCE_SEQ2SEQ_CONFIG,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=0, sort_keys=True)

@@ -263,8 +263,30 @@ def test_execute_persists_models_with_provenance(tmp_path, mini_registry):
     out = str(tmp_path / "out")
     execute([run], mini_registry, out, epochs=1)
     model = load_tagger_model(os.path.join(out, "models", f"{run.run_id}.json"))
-    assert tuple(stage.datasets for stage in model.provenance) == run.stages
-    assert [stage.was_continued for stage in model.provenance] == [False, True]
+    assert tuple(tuple(stage["datasets"]) for stage in model.provenance) == run.stages
+    assert [stage["was_continued"] for stage in model.provenance] == [False, True]
+
+
+@pytest.mark.parametrize("task", ["upos", "ufeats", "lemma"])
+def test_training_continued_from_a_saved_file_saves_what_training_in_memory_saves(
+        tmp_path, mini_registry, task):
+    """Stage 2 continues the feature ids (tagger) or counts (lemmatizer) of
+    stage 1, whether stage 1 comes from its file or from memory."""
+    module = lemmatizer if task == "lemma" else tagger
+
+    def train_stage(corpus, base):
+        if task == "lemma":
+            return lemmatizer.train_lemmatizer(corpus, base=base)
+        return tagger.train(corpus, task, epochs=2, base=base, seed=3)
+
+    stage1 = train_stage(load_dataset(mini_registry, "ud_alpha"), None)
+    stage1_path = tmp_path / "stage1.json"
+    module.save_model(stage1, str(stage1_path))
+    annals = load_dataset(mini_registry, "Annals")
+    from_file, from_memory = tmp_path / "from_file.json", tmp_path / "from_memory.json"
+    module.save_model(train_stage(annals, module.load_model(str(stage1_path))), str(from_file))
+    module.save_model(train_stage(annals, stage1), str(from_memory))
+    assert from_file.read_bytes() == from_memory.read_bytes()
 
 
 def test_execute_writes_results_file(tmp_path, mini_registry):

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import tempfile
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +12,9 @@ from medlatin.conllu import TASKS, concat_documents
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.registry import load_dataset, load_registry
 from medlatin.tagger import (BOUNDARY, END_BOUNDARY, FORM_MEMO_SIZE, MODEL_FORMAT,
-                             REFERENCE_FINETUNE_CONFIG, IndexOutOfRange, TaggerModel, TaskMismatch,
-                             TrainingStage, _best_index, _form_features, extract_features,
-                             load_model, save_model, tag, train)
+                             REFERENCE_FINETUNE_CONFIG, IndexOutOfRange, TaskMismatch,
+                             _best_index, _form_features, extract_features, load_model,
+                             save_model, tag, train)
 
 from conftest import MINI_REGISTRY, sent, simple_doc, tok
 
@@ -258,16 +259,32 @@ def test_provenance_records_stages():
     b = simple_doc([[("bonus", "bonus", "ADJ")]], name="corpus_b")
     base = train(a, "upos", epochs=2, seed=0)
     continued = train(b, "upos", epochs=3, base=base, seed=0)
-    assert [s.datasets for s in continued.provenance] == [("corpus_a",), ("corpus_b",)]
-    assert [s.was_continued for s in continued.provenance] == [False, True]
-    assert [s.epochs for s in continued.provenance] == [2, 3]
+    assert [s["datasets"] for s in continued.provenance] == [["corpus_a"], ["corpus_b"]]
+    assert [s["was_continued"] for s in continued.provenance] == [False, True]
+    assert [s["epochs"] for s in continued.provenance] == [2, 3]
 
 
-def test_config_metadata_recorded():
+def test_config_metadata_recorded(tmp_path):
     corpus = simple_doc([[("aqua", "aqua", "NOUN")]])
-    model = train(corpus, "upos", epochs=1)
-    assert model.config_metadata == {
-        "batch_size": 12, "epochs": 10, "learning_rate": 2e-5, "sequence_length": 256}
+    base = train(corpus, "upos", epochs=1)
+    path = tmp_path / "tagger.json"
+    for model in (base, train(corpus, "upos", epochs=1, base=base)):
+        save_model(model, str(path))
+        assert json.loads(path.read_text(encoding="utf-8"))["config_metadata"] == {
+            "batch_size": 12, "epochs": 10, "learning_rate": 2e-5, "sequence_length": 256}
+
+
+def test_every_seen_feature_keeps_a_row(toy_corpus):
+    """Even a feature with no weight left keeps its row, empty, and so its id."""
+    model = train(toy_corpus, "upos", epochs=3, seed=5)
+    seen = set()
+    for sentence in toy_corpus.sentences:
+        prev = BOUNDARY
+        for i, token in enumerate(sentence.tokens):
+            seen.update(extract_features(sentence, i, prev))
+            prev = token.upos
+    assert model.weights.keys() == seen
+    assert any(not row for row in model.weights.values())
 
 
 def test_model_file_roundtrip(tmp_path, toy_corpus):
@@ -297,8 +314,25 @@ def test_closed_set_prediction(toy_corpus):
 
 
 # Reference implementation: the flat (feature, tag) -> weight layout that the
-# feature-major rows replaced.  The differential tests below require the
-# production scorer, trainer and model files to match it exactly.
+# feature-major rows replaced, with the feature vocabulary the model kept
+# until feature ids came to be worked out at save.  The differential tests
+# below require the production scorer, trainer and model files to match it
+# exactly.
+
+class TrainingStage(NamedTuple):
+    datasets: tuple[str, ...]
+    epochs: int
+    was_continued: bool
+
+
+class TaggerModel(NamedTuple):
+    task: str
+    tagset: tuple[str, ...]
+    feature_vocabulary: dict[str, int]
+    weights: dict[tuple[int, int], float]
+    provenance: tuple[TrainingStage, ...]
+    config_metadata: dict
+
 
 def flat_best_tag(tagset, weights, feature_ids):
     best_idx = 0
