@@ -10,7 +10,7 @@
 
 Exit codes: 0 success, 1 domain error (message names the error case),
 2 usage error.  A config file may supply defaults (key = value lines with
-keys registry, output_dir, seed, ruleset, verbosity, scenario, tasks, ud);
+keys registry, output_dir, seed, ruleset, scenario, tasks, ud);
 pass it with --config or the MEDLATIN_CONFIG environment variable.  Flags
 always win over config.  Every tabular command accepts --machine for
 tab-separated output behind a versioned header line.
@@ -19,7 +19,6 @@ tab-separated output behind a versioned header line.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from decimal import Decimal, InvalidOperation
@@ -36,11 +35,8 @@ from .evaluation import AlignmentMismatch, evaluate, evaluate_by_genre
 from .registry import (Registry, compute_stats, load_dataset, load_registry,
                        reference_registry, validate_registry)
 
-log = logging.getLogger("medlatin")
-
 CONFIG_ENV_VAR = "MEDLATIN_CONFIG"
-CONFIG_KEYS = ("registry", "output_dir", "seed", "ruleset", "verbosity",
-               "scenario", "tasks", "ud")
+CONFIG_KEYS = ("registry", "output_dir", "seed", "ruleset", "scenario", "tasks", "ud")
 
 
 class UsageError(Exception):
@@ -192,8 +188,6 @@ def cmd_tagger_train(args) -> int:
     model = tagger_mod.train(corpus, args.task, epochs=args.epochs, base=base,
                              seed=args.seed, datasets=tuple(args.infile))
     tagger_mod.save_model(model, args.out)
-    log.info("trained %s tagger on %d sentences -> %s",
-             args.task, len(corpus.sentences), args.out)
     return 0
 
 
@@ -212,7 +206,6 @@ def cmd_lemmatize_train(args) -> int:
     base = lemmatizer_mod.load_model(args.base) if args.base else None
     model = lemmatizer_mod.train_lemmatizer(corpus, base=base, datasets=tuple(args.infile))
     lemmatizer_mod.save_model(model, args.out)
-    log.info("trained lemmatizer on %d sentences -> %s", len(corpus.sentences), args.out)
     return 0
 
 
@@ -271,7 +264,6 @@ def cmd_scenario_run(args) -> int:
     if out_dir is None:
         raise MedlatinError("scenario run needs an output directory (--out or config output_dir)")
     runs = _runs_from_args(args, registry)
-    log.info("executing %d runs", len(runs))
     results = scenarios_mod.execute(
         runs, registry, out_dir, epochs=args.epochs,
         validation_fraction=args.validation_fraction, base_seed=args.seed,
@@ -395,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"or set ${CONFIG_ENV_VAR}")
     parser.add_argument("--machine", action="store_true",
                         help="tab-separated output with a versioned header line")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     parser.add_argument("--drop-unsupported", action="store_true",
                         help="drop multiword-range and empty-node lines instead of failing")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -503,8 +494,6 @@ def _apply_config(args) -> None:
             setattr(args, key, config[key])
     if getattr(args, "seed", None) is None:
         args.seed = _config_int(config, "seed", path) if "seed" in config else 0
-    if args.verbose == 0 and "verbosity" in config:
-        args.verbose = _config_int(config, "verbosity", path)
 
 
 def _config_int(config: dict[str, str], key: str, path: str) -> int:
@@ -523,12 +512,6 @@ def run_cli(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         _apply_config(args)
-        level = logging.WARNING
-        if args.verbose == 1:
-            level = logging.INFO
-        elif args.verbose >= 2:
-            level = logging.DEBUG
-        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -69,7 +69,7 @@ class UnsupportedToken(MedlatinError):
         super().__init__(
             f"line {line_no}: unsupported token id {token_id!r} "
             "(multiword ranges and empty nodes are not modelled; "
-            "pass drop_unsupported=True to discard such lines)"
+            "pass --drop-unsupported, or drop_unsupported=True, to discard such lines)"
         )
 
 

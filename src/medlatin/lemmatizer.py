@@ -303,5 +303,6 @@ def _model_from_payload(payload: dict) -> LemmatizerModel:
         "".join(chain.from_iterable(table))
     for _, add_p, _, add_s, interior in set().union(*scripts.values()):
         "".join([add_p, add_s] + [text for _, old, new in interior for text in (old, new)])
-    provenance = tuple(payload["provenance"])
+    provenance = tuple({"datasets": list(s["datasets"]), "was_continued": bool(s["was_continued"])}
+                       for s in payload["provenance"])
     return LemmatizerModel(lexicon, scripts, provenance)

@@ -27,7 +27,7 @@ import configparser
 import glob as globmod
 import os
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal, InvalidOperation
 from importlib import resources
 
 from .conllu import Document, Sentence, concat_documents, read_conllu
@@ -171,12 +171,16 @@ def split_for_validation(sentences: tuple[Sentence, ...],
     """Deterministic validation carve: every k-th sentence, k = round(1/fraction).
 
     No seeds involved, so the same corpus always splits the same way.  k is
-    clamped to >= 2 so the training portion can never end up empty.
+    clamped to >= 2 so the training portion can never end up empty.  k is
+    worked out in Decimal, rounded half-even as round() rounds, so no
+    fraction overflows a float; every k past len(sentences) carves nothing,
+    so k stops there.
     """
-    f = float(Decimal(str(fraction)))
-    if not 0.0 < f < 1.0:
+    value = Decimal(str(fraction))
+    if not (value.is_finite() and 0 < value < 1):
         raise OutOfRange(f"validation_fraction must lie in (0, 1), not {fraction}")
-    k = max(2, round(1.0 / f))
+    inverse = Context(traps=[]).divide(1, value).to_integral_value(ROUND_HALF_EVEN)
+    k = max(2, int(min(inverse, len(sentences) + 1)))
     train = tuple(s for i, s in enumerate(sentences) if (i + 1) % k != 0)
     val = tuple(s for i, s in enumerate(sentences) if (i + 1) % k == 0)
     return train, val

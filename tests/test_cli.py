@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 
 import pytest
 
@@ -428,6 +429,20 @@ def test_analyze_confusions_cli(tmp_path, capsys):
     assert "initial\tu:v\t1" in out
 
 
+def test_analyze_confusions_include_sym_cli(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    pred = tmp_path / "pred.conllu"
+    gold.write_text(GOLD.replace("VERB", "SYM"), encoding="utf-8")
+    pred.write_text(PRED.replace("VERB", "SYM"), encoding="utf-8")
+    argv = ["--machine", "analyze", "--gold", str(gold), "--pred", str(pred),
+            "--report", "confusions"]
+    header = "#format=medlatin.analyze.confusions.v1\nposition\tpattern\tcount\n"
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == header
+    assert run_cli(argv + ["--include-sym"]) == 0
+    assert capsys.readouterr().out == header + "initial\tu:v\t1\n"
+
+
 def test_analyze_pos_cli(tmp_path, capsys):
     gold = tmp_path / "gold.conllu"
     pred = tmp_path / "pred.conllu"
@@ -683,13 +698,28 @@ def test_malformed_registry_config_exits_1_naming_it(tmp_path, capsys, content):
     assert f"RegistryConfigError: {cfg}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["seed = abc", "verbosity = x"])
+@pytest.mark.parametrize("line", ["seed = abc"])
 def test_non_integer_config_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "medlatin.cfg"
     cfg.write_text(f"registry = {MINI_REGISTRY}\n{line}\n", encoding="utf-8")
     assert run_cli(["--config", str(cfg), "scenario", "plan", "--scenario", "ud_all"]) == 2
     key, value = line.split(" = ")
     assert f"{cfg}: config key {key!r} must be an integer, not {value!r}" in capsys.readouterr().err
+
+
+def test_verbose_flag_is_gone(capsys):
+    assert run_cli(["-v", "scenario", "plan", "--scenario", "ud_all"]) == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+
+def test_verbosity_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "medlatin.cfg"
+    cfg.write_text(f"registry = {MINI_REGISTRY}\nverbosity = 1\n", encoding="utf-8")
+    assert run_cli(["--config", str(cfg), "scenario", "plan", "--scenario", "ud_all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: MedlatinError: {cfg}: line 2: "
+                            "unknown config key 'verbosity'\n")
+    assert captured.out == ""
 
 
 NON_NEGATIVE_INT_ARGVS = [
@@ -756,6 +786,18 @@ def test_validation_fraction_out_of_range_creates_no_out_dir(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: OutOfRange: validation_fraction must lie "
                                        "in (0, 1), not 1\n")
     assert not out.exists()
+
+
+def test_tiny_validation_fraction_keeps_every_sentence_for_training(tmp_path, capsys):
+    argv = ["scenario", "run", "--scenario", "ud_all", "--registry", MINI_REGISTRY,
+            "--tasks", "upos", "--epochs", "1"]
+    assert run_cli(argv + ["--validation-fraction", "5e-324", "--out", str(tmp_path / "a")]) == 0
+    # 1/5e-324 overflows a float; a k past the 120 UD sentences holds none
+    # out, as 0.004 (k = 250) does
+    assert run_cli(argv + ["--validation-fraction", "0.004", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("results.tsv", "models/ud_all__upos.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_tolerance_out_of_range_is_a_named_error(capsys):
@@ -866,6 +908,32 @@ def test_scenario_run_all_merges_the_results_store_once(tmp_path, capsys, monkey
     assert merged == [25]
     assert len(capsys.readouterr().out.splitlines()) == 2 + 25
     assert len(scenarios.read_results_file(str(out / "results.tsv"))) == 25
+
+
+def test_scenario_run_drop_unsupported_reaches_the_grid(tmp_path, capsys):
+    """--drop-unsupported passes through every dataset a grid run reads: a
+    multiword range fails the run without it, and with it the run equals one
+    on the registry without that line."""
+    ranged = tmp_path / "ranged"
+    shutil.copytree(os.path.dirname(MINI_REGISTRY), ranged)
+    annals = ranged / "annals.conllu"
+    lines = annals.read_text(encoding="utf-8").splitlines(keepends=True)
+    annals.write_text("".join(lines[:2] + ["1-2\tducem magnus\t_\t_\t_\t_\t_\t_\t_\t_\n"]
+                              + lines[2:]), encoding="utf-8")
+    argv = ["scenario", "run", "--scenario", "baseline", "--tasks", "upos", "--epochs", "1"]
+    ranged_argv = argv + ["--registry", str(ranged / "registry.cfg")]
+    assert run_cli(ranged_argv + ["--out", str(tmp_path / "failed")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: UnsupportedToken: run 'baseline__upos__annals': "
+                                   f"{annals}: line 3: unsupported token id '1-2' ")
+    assert "pass --drop-unsupported" in captured.err
+    assert run_cli(argv + ["--registry", MINI_REGISTRY, "--out", str(tmp_path / "clean")]) == 0
+    clean = capsys.readouterr()
+    assert run_cli(["--drop-unsupported"] + ranged_argv + ["--out", str(tmp_path / "dropped")]) == 0
+    assert capsys.readouterr() == clean
+    assert ((tmp_path / "dropped" / "results.tsv").read_bytes()
+            == (tmp_path / "clean" / "results.tsv").read_bytes())
 
 
 def test_scenario_run_unopenable_results_lock_fails_before_training(tmp_path, capsys,

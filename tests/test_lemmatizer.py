@@ -222,6 +222,10 @@ def test_model_file_roundtrip(tmp_path):
      "malformed model"),
     (lambda payload: payload["scripts"].append(["am", "NOUN", [[[0, "", 0, "", [[1, 7, "c"]]], 1]]]),
      "malformed model"),
+    # A provenance stage that is not a {"datasets", "was_continued"} dict.
+    (lambda payload: payload.__setitem__("provenance", [1]), "malformed model"),
+    (lambda payload: payload.__setitem__("provenance", ["x"]), "malformed model"),
+    (lambda payload: payload.__setitem__("provenance", [{}]), "malformed model"),
 ])
 def test_load_model_rejects_malformed_file(tmp_path, edit, message):
     path = tmp_path / "lemma.json"

@@ -41,7 +41,7 @@ RESULTS = (
     "baseline__upos__annals\tbaseline\tAnnals\tupos\t75.5\n"
 )
 RULESET = "u_for_v\tv\tu\tanywhere\t\nti_for_ci\tci\tti\tmiddle\tfacio,socius\n"
-CONFIG = "seed = 3\nverbosity = 0\nscenario = ud_all\ntasks = upos,lemma\n"
+CONFIG = "seed = 3\nscenario = ud_all\ntasks = upos,lemma\n"
 QUERIES = "terram:NOUN\nVidet:VERB\n.:PUNCT\n"
 
 # Per reader: the argv lists that read the mutated file MUT, and whether it

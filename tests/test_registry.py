@@ -4,7 +4,7 @@ from decimal import Decimal
 import pytest
 
 from medlatin.errors import MedlatinError
-from medlatin.registry import (CorpusStats, DivisionByZero, Registry,
+from medlatin.registry import (CorpusStats, DivisionByZero, OutOfRange, Registry,
                                RegistryConfigError, TooFewDatasets,
                                UnknownDataset, compute_stats, load_dataset,
                                load_registry, make_cv_splits,
@@ -109,6 +109,31 @@ def test_split_for_validation_every_tenth():
     assert len(train) == 18 and len(val) == 2
     assert val == (doc.sentences[9], doc.sentences[19])
     assert train == tuple(s for i, s in enumerate(doc.sentences) if i not in (9, 19))
+
+
+def test_split_for_validation_rounds_as_the_float_formula():
+    """Differential: k worked out in Decimal equals max(2, round(1 / f)) on
+    floats for every fraction with 1 to 4 decimals.  Over k + 1 sentences
+    the one held-out sentence is the k-th, so the split shows k."""
+    for digits in range(1, 5):
+        for numerator in range(1, 10 ** digits):
+            fraction = f"0.{numerator:0{digits}d}"
+            k = max(2, round(1.0 / float(fraction)))
+            assert split_for_validation(tuple(range(k + 1)), fraction) == (
+                tuple(range(k - 1)) + (k,), (k - 1,)), fraction
+
+
+@pytest.mark.parametrize("fraction", [5e-324, "5e-324", "1e-999999999999999999"],
+                         ids=["float", "string", "past-the-float-range"])
+def test_split_for_validation_tiny_fraction_keeps_every_sentence(fraction):
+    sentences = simple_doc([[(f"w{i}", f"w{i}", "NOUN")] for i in range(20)]).sentences
+    assert split_for_validation(sentences, fraction) == (sentences, ())
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "-0.1", "nan", "Infinity"])
+def test_split_for_validation_out_of_range(fraction):
+    with pytest.raises(OutOfRange, match=f"must lie in \\(0, 1\\), not {fraction}"):
+        split_for_validation((), fraction)
 
 
 def test_mini_registry_loads_in_order():

@@ -34,3 +34,9 @@ def test_imports_are_stdlib_or_medlatin(path):
     outside = [f"line {line_no}: {name}" for line_no, name in absolute_imports(path)
                if name != "medlatin" and name not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_logging_channel(path):
+    """The CLI reports through stdout, stderr and its exit code only."""
+    assert [line_no for line_no, name in absolute_imports(path) if name == "logging"] == []
