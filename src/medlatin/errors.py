@@ -102,6 +102,30 @@ def read_model_file(path: str, model_format: str, schema: dict, build):
         raise MedlatinError(f"{path}: malformed model ({exc})") from exc
 
 
+_STAGE_VALUES = {"datasets": (list, "a list of strings"), "epochs": (int, "an int"),
+                 "was_continued": (bool, "a bool")}
+
+
+def read_provenance(stages: list, keys: tuple[str, ...]) -> tuple[dict, ...]:
+    """A model file's provenance: one {key: value} dict per training stage.
+
+    Each stage must hold every key in keys, where datasets is a list of
+    strings, epochs an int that is not a bool, and was_continued a bool;
+    its other keys are dropped.  A stage that breaks this raises KeyError,
+    TypeError or ValueError, which read_model_file reports naming the path.
+    """
+    checked = []
+    for i, stage in enumerate(stages):
+        kept = {key: stage[key] for key in keys}
+        for key, value in kept.items():
+            kind, text = _STAGE_VALUES[key]
+            if value.__class__ is not kind or (
+                    kind is list and not all(d.__class__ is str for d in value)):
+                raise ValueError(f"provenance stage {i}: {key} must be {text}, not {value!r}")
+        checked.append(kept)
+    return tuple(checked)
+
+
 def json_row(*cells: str) -> str:
     """A %-format string for a JSON array of len(cells) values.
 
@@ -153,7 +177,9 @@ def write_file(path: str, chunks) -> None:
     """Write the text chunks to path as UTF-8 through a temporary file in
     the same directory and os.replace, so the path holds either its old
     content or all of the new, never a part.  On an error the temporary
-    file is removed and the old content stays.
+    file is removed and the old content stays.  A temporary file that an
+    earlier write of path left in a process that has ended, as a kill
+    leaves one, is removed first.
 
     A symlink is followed, so its target is replaced and the link stays,
     and an existing file keeps its mode.  A path that exists but is not a
@@ -177,6 +203,7 @@ def _write_file(path: str, chunks) -> None:
         return
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    _remove_stale_temp_files(directory, name)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             if mode is not None:
@@ -187,6 +214,38 @@ def _write_file(path: str, chunks) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _remove_stale_temp_files(directory: str, name: str) -> None:
+    """Remove the temporary files, .NAME.PID.tmp, that writes of name left
+    in directory in a process that has ended, such as one killed mid-write.
+    One whose PID runs, or cannot be checked, may be a write in flight and
+    stays.  An OSError stops the removal and is not raised: the write does
+    not depend on it."""
+    prefix = f".{name}."
+    try:
+        for entry in os.listdir(directory):
+            pid = entry[len(prefix):-len(".tmp")]
+            if (entry.startswith(prefix) and entry.endswith(".tmp") and pid.isascii()
+                    and pid.isdigit() and _ended(int(pid))):
+                os.unlink(os.path.join(directory, entry))
+    except OSError:
+        pass
+
+
+def _ended(pid: int) -> bool:
+    """Whether no process with this PID runs.  Only on POSIX does
+    os.kill(pid, 0) test for a process without signalling it, so elsewhere
+    every PID counts as running."""
+    if os.name != "posix":
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # another user's process, or no PID at all
+        pass
+    return False
 
 
 def write_model_file(path: str, payload: dict) -> None:

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .conllu import UPOS_TAGS, Document
 from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_array, json_row, json_string,
-                     read_model_file, write_model_file)
+                     read_model_file, read_provenance, write_model_file)
 
 MODEL_FORMAT = "medlatin-lemmatizer/1"
 
@@ -303,6 +303,5 @@ def _model_from_payload(payload: dict) -> LemmatizerModel:
         "".join(chain.from_iterable(table))
     for _, add_p, _, add_s, interior in set().union(*scripts.values()):
         "".join([add_p, add_s] + [text for _, old, new in interior for text in (old, new)])
-    provenance = tuple({"datasets": list(s["datasets"]), "was_continued": bool(s["was_continued"])}
-                       for s in payload["provenance"])
+    provenance = read_provenance(payload["provenance"], ("datasets", "was_continued"))
     return LemmatizerModel(lexicon, scripts, provenance)

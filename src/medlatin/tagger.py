@@ -36,6 +36,17 @@ vocabulary (feature -> id) and its [feature id, tag index, weight] rows,
 sorted by feature id, then tag index, and load_model rebuilds the rows in
 id order, so training from a loaded base model continues its ids.
 
+From epoch 1 on, train skips scoring a token that was tagged correctly
+when last scored, if no weight row of its features has changed since.
+This is exact: a perceptron changes weights only on a mistake and only in
+the rows of the mistaken token's features (Collins 2002); teacher forcing
+gives a token the same features in every epoch, and _best_index depends
+only on those rows and the tagset, which a train call fixes.  So a rescore
+would give the gold tag again and change nothing, and a mistaken token,
+whose own rows it changes, is always rescored.  A skipped token still has
+its features extracted, and still advances the previous tag and the
+averaging step.
+
 REFERENCE_FINETUNE_CONFIG holds the hyperparameters of the full-scale
 fine-tuning setup this trainer stands in for; save_model writes them into
 every model file for provenance, and nothing here interprets them.
@@ -50,7 +61,7 @@ from math import isfinite
 
 from .conllu import TASKS, Sentence
 from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_entries, json_row,
-                     read_model_file, write_model_file)
+                     read_model_file, read_provenance, write_model_file)
 
 BOUNDARY = "<s>"
 END_BOUNDARY = "</s>"
@@ -73,6 +84,10 @@ class TaskMismatch(MedlatinError):
 
 
 class IndexOutOfRange(MedlatinError):
+    pass
+
+
+class NegativeEpochs(MedlatinError):
     pass
 
 
@@ -177,7 +192,7 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     if not corpus.sentences:
         raise EmptyCorpus(f"cannot train {task} tagger on empty corpus {corpus.source_name!r}")
     if epochs < 0:
-        raise ValueError("epochs must be >= 0")
+        raise NegativeEpochs(f"epochs must be >= 0, not {epochs}")
 
     if base is not None:
         tagset = list(base.tagset)
@@ -201,6 +216,11 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     acc: dict[str, dict[int, float]] = {}
     ts: dict[str, dict[int, int]] = {}
     step = 0
+    # For skipping a rescore: changed[f] is the step at which row f last
+    # changed, correct_since[s_i][i] the step at which token i of sentence
+    # s_i was last tagged correctly; -1 stands for never.
+    changed = dict.fromkeys(w, -1)
+    correct_since = [[-1] * len(g) for g in gold_indices]
 
     rng = random.Random(seed)
     order = list(range(len(sentences)))
@@ -208,6 +228,7 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
         rng.shuffle(order)
         for s_i in order:
             sentence, sentence_labels = sentences[s_i], labels[s_i]
+            since = correct_since[s_i]
             prev = BOUNDARY
             for i, g_idx in enumerate(gold_indices[s_i]):
                 feats = extract_features(sentence, i, prev)
@@ -217,9 +238,19 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
                     for f in feats:
                         if f not in w:
                             w[f] = {}
+                            changed[f] = -1
+                elif max(map(changed.__getitem__, feats)) < since[i]:
+                    # Same rows as when it was last tagged correctly: a
+                    # rescore would give the gold tag again and change nothing.
+                    prev = sentence_labels[i]
+                    step += 1
+                    continue
                 p_idx = _best_index(tagset_t, w, feats)
-                if p_idx != g_idx:
+                if p_idx == g_idx:
+                    since[i] = step
+                else:
                     for f in feats:
+                        changed[f] = step
                         row = w[f]
                         acc_row = acc.setdefault(f, {})
                         ts_row = ts.setdefault(f, {})
@@ -347,7 +378,5 @@ def _model_from_payload(payload: dict) -> TaggerModel:
         if w.__class__ is not float or not isfinite(w):
             w = _finite_weight(f, t, w)
         row[t] = w
-    provenance = tuple({"datasets": list(s["datasets"]), "epochs": int(s["epochs"]),
-                        "was_continued": bool(s["was_continued"])}
-                       for s in payload["provenance"])
+    provenance = read_provenance(payload["provenance"], ("datasets", "epochs", "was_continued"))
     return TaggerModel(task, tagset, weights, provenance)

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,8 @@ from medlatin.cli import run_cli
 from medlatin.conllu import parse_conllu
 
 from conftest import MINI_REGISTRY, TOY_CORPUS
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 GOLD = (
     "1\tuideo\tuideo\tVERB\t_\t_\t_\t_\t_\t_\n"
@@ -235,6 +239,22 @@ def test_tagger_train_rejects_base_with_shifted_feature_ids(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: MedlatinError: {model}: malformed model (the feature vocabulary "
                    f"must number its {n} features 0 to {n - 1}, each once)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["tagger", "lemmatize"])
+def test_train_rejects_base_whose_provenance_has_wrong_types(tmp_path, capsys, kind):
+    model, out = tmp_path / "model.json", tmp_path / "out.json"
+    train = {"tagger": ["tagger", "train", "--task", "upos", "--epochs", "1"],
+             "lemmatize": ["lemmatize", "train"]}[kind]
+    assert run_cli(train + ["--in", TOY_CORPUS, "--out", str(model)]) == 0
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["provenance"] = [{"datasets": "ud", "epochs": "5", "was_continued": "no"}]
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(train + ["--in", TOY_CORPUS, "--base", str(model), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: MedlatinError: {model}: malformed model "
+                                       "(provenance stage 0: datasets must be a list of "
+                                       "strings, not 'ud')\n")
     assert not out.exists()
 
 
@@ -979,3 +999,46 @@ def test_non_utf8_stdin_query_names_stdin_and_line(tmp_path, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.err.startswith("error: MedlatinError: <stdin>: line 2: not UTF-8 (")
     assert captured.out == ""
+
+
+# Runs the CLI with os.replace patched to end the process, as a kill would,
+# on its k-th call: argv is k, then the CLI's arguments.
+KILLED_AT_REPLACE = """
+import os, sys
+from medlatin.cli import run_cli
+k, replace, calls = int(sys.argv[1]), os.replace, []
+def replace_or_die(src, dst):
+    calls.append(dst)
+    if len(calls) == k:
+        os._exit(137)
+    replace(src, dst)
+os.replace = replace_or_die
+sys.exit(run_cli(sys.argv[2:]))
+"""
+
+
+def _files(directory):
+    """{path relative to the directory: bytes} of every file under it."""
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in directory.rglob("*") if path.is_file()}
+
+
+def test_rerun_after_a_killed_write_makes_every_output_whole(tmp_path, capsys):
+    argv = ["scenario", "run", "--scenario", "all", "--registry", MINI_REGISTRY]
+    clean = tmp_path / "clean"
+    assert run_cli(argv + ["--out", str(clean)]) == 0
+    expected, expected_out = _files(clean), capsys.readouterr().out
+    n_models = len(os.listdir(clean / "models"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    # Killed writing the first model, the last model and the results merge.
+    for k, left in ((1, "models"), (n_models, "models"), (n_models + 1, "")):
+        out = tmp_path / f"killed-{k}"
+        child = subprocess.run([sys.executable, "-c", KILLED_AT_REPLACE, str(k), *argv,
+                                "--out", str(out)], env=env, capture_output=True, timeout=300)
+        assert child.returncode == 137, child.stderr
+        orphans = [name for name in _files(out) if name.endswith(".tmp")]
+        assert len(orphans) == 1 and os.path.dirname(orphans[0]) == left
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == expected_out
+        assert _files(out) == expected

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -143,3 +145,22 @@ def test_write_to_a_pipe_goes_in_place(tmp_path):
     assert received == ["ab\n"]
     assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="only POSIX can tell whether a PID runs")
+def test_write_removes_temp_files_whose_writer_has_ended(tmp_path):
+    ended = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True).stdout.strip()
+    kept = {
+        f".model.json.{ended}.tmp": False,             # its writer has ended
+        f".model.json.{os.getppid()}.tmp": True,       # its writer still runs
+        f".other.json.{ended}.tmp": True,              # a temporary file of another name
+        f".model.json.{ended}.x.tmp": True,            # not a name write_file makes
+        ".model.json.tmp": True,
+    }
+    for name in kept:
+        (tmp_path / name).write_text("x", encoding="utf-8")
+    write_file(str(tmp_path / "model.json"), ["new\n"])
+    assert (tmp_path / "model.json").read_text(encoding="utf-8") == "new\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["model.json"] + [name for name, stays in kept.items() if stays])

@@ -226,6 +226,13 @@ def test_model_file_roundtrip(tmp_path):
     (lambda payload: payload.__setitem__("provenance", [1]), "malformed model"),
     (lambda payload: payload.__setitem__("provenance", ["x"]), "malformed model"),
     (lambda payload: payload.__setitem__("provenance", [{}]), "malformed model"),
+    # A stage whose values have the wrong types.
+    (lambda payload: payload["provenance"][0].update(datasets="ud"),
+     r"provenance stage 0: datasets must be a list of strings, not 'ud'"),
+    (lambda payload: payload["provenance"][0].update(datasets=[None]), "malformed model"),
+    (lambda payload: payload["provenance"][0].update(was_continued="no"),
+     r"provenance stage 0: was_continued must be a bool, not 'no'"),
+    (lambda payload: payload["provenance"][0].update(was_continued=1), "malformed model"),
 ])
 def test_load_model_rejects_malformed_file(tmp_path, edit, message):
     path = tmp_path / "lemma.json"

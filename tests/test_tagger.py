@@ -12,9 +12,10 @@ from medlatin.conllu import TASKS, concat_documents
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.registry import load_dataset, load_registry
 from medlatin.tagger import (BOUNDARY, END_BOUNDARY, FORM_MEMO_SIZE, MODEL_FORMAT,
-                             REFERENCE_FINETUNE_CONFIG, IndexOutOfRange, TaskMismatch,
-                             _best_index, _form_features, extract_features, load_model,
-                             save_model, tag, train)
+                             REFERENCE_FINETUNE_CONFIG, IndexOutOfRange, NegativeEpochs,
+                             TaskMismatch, _best_index, _form_features, extract_features,
+                             load_model, save_model, tag, train)
+from medlatin.tagger import TaggerModel as FeatureMajorModel
 
 from conftest import MINI_REGISTRY, sent, simple_doc, tok
 
@@ -498,6 +499,145 @@ def test_one_and_two_stage_training_match_flat_reference(task, alpha_rows, beta_
                 assert tag(model, sentence) == flat_tag(flat_model, sentence)
 
 
+# Reference implementation: train as it was before it learned to skip a
+# token whose weight rows have not changed since it was last tagged
+# correctly, its loop kept verbatim (it scores every token in every epoch)
+# and its argument checks left out.  train must return exactly its model,
+# row order included.
+
+def rescoring_train(corpus, task, epochs=5, base=None, seed=0, datasets=None):
+    if base is not None:
+        tagset = list(base.tagset)
+        w = {f: dict(row) for f, row in base.weights.items()}
+    else:
+        tagset, w = [], {}
+    sentences = corpus.sentences
+    labels = [list(map(TASKS[task].read, s.tokens)) for s in sentences]
+    known = set(tagset)
+    for label in sorted({label for sentence_labels in labels for label in sentence_labels}):
+        if label not in known:
+            tagset.append(label)
+            known.add(label)
+    tagset_t = tuple(tagset)
+    tag_index = {t: i for i, t in enumerate(tagset_t)}
+    gold_indices = [[tag_index[label] for label in sentence_labels] for sentence_labels in labels]
+
+    # Lazy averaging: acc[f][t] accumulates sum-over-steps of weight (f, t),
+    # flushed at (ts[f][t], now] intervals; untouched weights average to
+    # their starting value, which keeps epochs=0 an exact identity on the base.
+    acc: dict[str, dict[int, float]] = {}
+    ts: dict[str, dict[int, int]] = {}
+    step = 0
+
+    rng = random.Random(seed)
+    order = list(range(len(sentences)))
+    for epoch in range(epochs):
+        rng.shuffle(order)
+        for s_i in order:
+            sentence, sentence_labels = sentences[s_i], labels[s_i]
+            prev = BOUNDARY
+            for i, g_idx in enumerate(gold_indices[s_i]):
+                feats = extract_features(sentence, i, prev)
+                # Teacher forcing gives every epoch the same feature tuples,
+                # so epoch 0 meets every feature, in first-seen order.
+                if not epoch:
+                    for f in feats:
+                        if f not in w:
+                            w[f] = {}
+                p_idx = _best_index(tagset_t, w, feats)
+                if p_idx != g_idx:
+                    for f in feats:
+                        row = w[f]
+                        acc_row = acc.setdefault(f, {})
+                        ts_row = ts.setdefault(f, {})
+                        for t_idx, delta in ((g_idx, 1.0), (p_idx, -1.0)):
+                            value = row.get(t_idx, 0.0)
+                            acc_row[t_idx] = (acc_row.get(t_idx, 0.0)
+                                              + (step - ts_row.get(t_idx, 0)) * value)
+                            ts_row[t_idx] = step
+                            row[t_idx] = value + delta
+                prev = sentence_labels[i]
+                step += 1
+
+    averaged: dict[str, dict[int, float]] = {}
+    for f, row in w.items():
+        acc_row, ts_row = acc.get(f, {}), ts.get(f, {})
+        kept = averaged[f] = {}
+        for t_idx, value in row.items():
+            if step:
+                value = (acc_row.get(t_idx, 0.0) + (step - ts_row.get(t_idx, 0)) * value) / step
+            if value != 0.0:
+                kept[t_idx] = value
+
+    stage = {
+        "datasets": list(datasets) if datasets is not None else [corpus.source_name],
+        "epochs": epochs,
+        "was_continued": base is not None,
+    }
+    provenance = (base.provenance if base is not None else ()) + (stage,)
+    return FeatureMajorModel(task, tagset_t, averaged, provenance)
+
+
+def assert_same_training(corpus, task, epochs, base, seed, tmp_dir):
+    model = train(corpus, task, epochs=epochs, base=base, seed=seed)
+    reference = rescoring_train(corpus, task, epochs=epochs, base=base, seed=seed)
+    assert list(model.weights.items()) == list(reference.weights.items())
+    assert (model.task, model.tagset, model.provenance) == (
+        reference.task, reference.tagset, reference.provenance)
+    new_path, reference_path = os.path.join(tmp_dir, "new.json"), os.path.join(tmp_dir, "ref.json")
+    save_model(model, new_path)
+    save_model(reference, reference_path)
+    with open(new_path, "rb") as new, open(reference_path, "rb") as ref:
+        assert new.read() == ref.read()
+    return model
+
+
+@pytest.mark.parametrize("task", ["upos", "ufeats"])
+@pytest.mark.parametrize("epochs", [0, 1, 5])
+def test_training_matches_rescoring_reference_on_mini_treebanks(tmp_path, task, epochs):
+    """As the grid stages it: a model on every UD treebank, then one
+    continued on a genre, at several seeds."""
+    registry = load_registry(MINI_REGISTRY)
+    ud = concat_documents([load_dataset(registry, name) for name in ("ud_alpha", "ud_beta")],
+                          "ud_alpha+ud_beta")
+    for seed in (0, 1, 7):
+        base = assert_same_training(ud, task, epochs, None, seed, str(tmp_path))
+        for genre in ("Annals", "Science"):
+            assert_same_training(load_dataset(registry, genre), task, epochs, base, seed + 1,
+                                 str(tmp_path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(task=st.sampled_from(["upos", "ufeats"]), base_rows=st.none() | CORPUS_ROWS,
+       rows=CORPUS_ROWS, epochs=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       seeds=st.tuples(st.integers(0, 9), st.integers(0, 9)))
+def test_training_matches_rescoring_reference(task, base_rows, rows, epochs, seeds):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = None
+        if base_rows is not None:
+            base = assert_same_training(simple_doc(base_rows, name="base"), task, epochs[0],
+                                        None, seeds[0], tmp)
+        assert_same_training(simple_doc(rows, name="corpus"), task, epochs[1], base, seeds[1],
+                             tmp)
+
+
+def test_training_rescores_only_tokens_whose_rows_changed(monkeypatch, toy_corpus):
+    scored = []
+    monkeypatch.setattr("medlatin.tagger._best_index",
+                        lambda *args: scored.append(args) or _best_index(*args))
+    model = train(toy_corpus, "upos", epochs=10, seed=1)
+    tokens = sum(len(s.tokens) for s in toy_corpus.sentences)
+    # Epoch 0 scores every token; the nine epochs after it, which converge,
+    # rescore fewer tokens between them than one epoch holds.
+    assert tokens < len(scored) < 2 * tokens
+    assert model == rescoring_train(toy_corpus, "upos", epochs=10, seed=1)
+
+
+def test_negative_epochs_is_a_named_error(toy_corpus):
+    with pytest.raises(NegativeEpochs, match=r"^epochs must be >= 0, not -1$"):
+        train(toy_corpus, "upos", epochs=-1)
+
+
 def test_save_model_writes_signed_zeros_and_float_reprs_like_json(tmp_path, toy_corpus):
     model = train(toy_corpus, "upos", epochs=1, seed=0)
     rows = [[0, 0, -0.0], [0, 1, 0.0], [1, 0, 0.0], [1, 1, -0.0], [2, 0, 0.1 + 0.2],
@@ -556,6 +696,11 @@ def _move_feature_id_past_end(payload):
     payload["weights"] = [[n if f == 0 else f, t, w] for f, t, w in payload["weights"]]
 
 
+def _stage(**values):
+    """Give the first provenance stage these values."""
+    return lambda payload: payload["provenance"][0].update(values)
+
+
 def _set_weights(row):
     """row(payload) -> one weight row that breaks the model."""
     return lambda payload: payload.__setitem__("weights", [row(payload)])
@@ -576,6 +721,14 @@ MALFORMED = {
     "upos-label-not-a-tag": _set_label("BOGUS\tX"),
     "upos-label-lowercase": _set_label("noun"),
     "stage-missing-epochs": _set("provenance", [{"datasets": [], "was_continued": False}]),
+    "stage-is-string": _set("provenance", ["x"]),
+    "stage-datasets-is-string": _stage(datasets="ud"),
+    "stage-dataset-not-string": _stage(datasets=["ud", 1]),
+    "stage-epochs-is-string": _stage(epochs="5"),
+    "stage-epochs-is-bool": _stage(epochs=True),
+    "stage-epochs-is-float": _stage(epochs=5.0),
+    "stage-was-continued-is-string": _stage(was_continued="no"),
+    "stage-was-continued-is-int": _stage(was_continued=0),
     "short-weight-row": _set_weights(lambda payload: [0, 0]),
     "tag-index-past-end": _set_weights(lambda payload: [0, len(payload["tagset"]), 1.0]),
     "negative-tag-index": _set_weights(lambda payload: [0, -1, 1.0]),
