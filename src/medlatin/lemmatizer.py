@@ -21,6 +21,13 @@ Forms are lowercased before lookup and output casing is lowercase.  Staged
 training merges counts additively, so continuing on a new corpus accumulates
 evidence instead of restarting.
 
+Since the answer depends only on the lowercased form and the UPOS, each
+model keeps the lemma it gave for each distinct (lowercased form, UPOS) and
+answers a repeated query from that table; steps 2-5 run only on a query not
+yet in it.  The table takes at most ANSWER_TABLE_SIZE (16384) entries,
+about 3 MB when full, and after that answers only the queries it holds;
+it is never written to a model file and starts empty in every model.
+
 REFERENCE_SEQ2SEQ_CONFIG holds the hyperparameters of the byte-level
 generation setup this classifier stands in for; save_model writes them
 into every model file for provenance, and nothing here interprets them.
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .conllu import UPOS_TAGS, Document
@@ -39,6 +47,10 @@ from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_array, json_row
 MODEL_FORMAT = "medlatin-lemmatizer/1"
 
 MAX_SUFFIX_KEY = 5
+
+ANSWER_TABLE_SIZE = 16384
+
+LEMMA_UPOS = UPOS_TAGS - {"SYM"}  # training skips SYM tokens
 
 REFERENCE_SEQ2SEQ_CONFIG = {
     "batch_size": 128,
@@ -124,18 +136,23 @@ def apply_edit_script(script: EditScript, form: str) -> str:
 
 @dataclass(frozen=True)
 class LemmatizerModel:
-    """Lexicon and suffix-script counts; immutable after training.
+    """Lexicon and suffix-script counts; the counts are immutable after
+    training, since pooled and answers are derived from them.
 
     lexicon maps (form, upos) -> {lemma: count}; scripts maps
-    (suffix, upos) -> {script: count}.  pooled is derived from scripts
-    when the model is built and ignored by equality: suffix -> {script:
-    count summed over every UPOS}, the counts cascade step 4 ranks.
+    (suffix, upos) -> {script: count}.  Two fields are derived, never
+    written to a model file and ignored by equality and repr.  pooled is
+    built from scripts with the model: suffix -> {script: count summed over
+    every UPOS}, the counts cascade step 4 ranks.  answers starts empty and
+    lemmatize fills it: (lowercased form, upos) -> the lemma it gave, for
+    at most ANSWER_TABLE_SIZE queries.
     """
 
     lexicon: dict[tuple[str, str], dict[str, int]]
     scripts: dict[tuple[str, str], dict[EditScript, int]]
     provenance: tuple = ()
     pooled: dict[str, dict[EditScript, int]] = field(init=False, repr=False, compare=False)
+    answers: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Most suffixes occur with one UPOS: they share that counter with
@@ -152,6 +169,7 @@ class LemmatizerModel:
             for script, count in counter.items():
                 bucket[script] = bucket.get(script, 0) + count
         object.__setattr__(self, "pooled", pooled)
+        object.__setattr__(self, "answers", {})
 
 
 def _merge_counts(target: dict, source: dict) -> None:
@@ -204,11 +222,23 @@ def _top(counter: dict):
 
 
 def lemmatize(model: LemmatizerModel, query: LemmaQuery) -> str:
-    """Run the decision cascade; never fails (step 5 guarantees totality)."""
+    """Run the decision cascade; never fails (step 5 guarantees totality).
+    A query already in the model's answer table is answered from it."""
     form, upos = query
     if upos == "SYM":
         return "_"
-    form = form.lower()
+    key = (form.lower(), upos)
+    answers = model.answers
+    lemma = answers.get(key)
+    if lemma is None:
+        lemma = _resolve(model, *key)
+        if len(answers) < ANSWER_TABLE_SIZE:
+            answers[key] = lemma
+    return lemma
+
+
+def _resolve(model: LemmatizerModel, form: str, upos: str) -> str:
+    """Cascade steps 2-5 for a lowercased form."""
     entry = model.lexicon.get((form, upos))
     if entry:
         return _top(entry)
@@ -284,24 +314,55 @@ def load_model(path: str) -> LemmatizerModel:
 
 
 def _model_from_payload(payload: dict) -> LemmatizerModel:
-    lexicon = {
-        (form, upos): {lemma: int(c) for lemma, c in items}
-        for form, upos, items in payload["lexicon"]
-    }
+    rows = payload["lexicon"]
+    lexicon = {(form, upos): dict(items) for form, upos, items in rows}
+    _check_counts("lexicon", rows, lexicon)
+    rows = payload["scripts"]
     scripts = {}
-    for suffix, upos, items in payload["scripts"]:
-        counter = {}
-        for serialized, count in items:
-            strip_p, add_p, strip_s, add_s, interior = serialized
-            key = (int(strip_p), add_p, int(strip_s), add_s,
-                   tuple((int(o), old, new) for o, old, new in interior))
-            counter[key] = int(count)
-        scripts[(suffix, upos)] = counter
+    for suffix, upos, items in rows:
+        scripts[(suffix, upos)] = counter = {}
+        for (strip_p, add_p, strip_s, add_s, interior), count in items:
+            counter[(strip_p, add_p, strip_s, add_s, tuple(map(tuple, interior)))] = count
+    _check_counts("scripts", rows, scripts)
+    # Each column is checked at once: a script's strip lengths and interior
+    # edit offsets must be ints >= 0, as derive_edit_script makes them.  Every
+    # stored key is checked, as 1.0 and True are equal to 1 in a set.
+    keys = list(chain.from_iterable(scripts.values()))
+    edits = list(chain.from_iterable(map(itemgetter(4), keys)))
+    if set(map(len, edits)) - {3}:
+        raise ValueError("scripts: an interior edit is not [offset, old, new]")
+    offsets = map(itemgetter(0), edits)
+    lengths = list(chain(map(itemgetter(0), keys), map(itemgetter(2), keys), offsets))
+    if set(map(type, lengths)) - {int} or min(lengths, default=0) < 0:
+        bad = next(n for n in lengths if n.__class__ is not int or n < 0)
+        raise ValueError(f"scripts: strip length or offset {bad!r} is not an int >= 0")
     # str.join raises TypeError for a form, UPOS, lemma, suffix or script
     # string that is not a str; each distinct script is checked once.
     for table in (lexicon, lexicon.values(), scripts):
         "".join(chain.from_iterable(table))
-    for _, add_p, _, add_s, interior in set().union(*scripts.values()):
+    for _, add_p, _, add_s, interior in set(keys):
         "".join([add_p, add_s] + [text for _, old, new in interior for text in (old, new)])
     provenance = read_provenance(payload["provenance"], ("datasets", "was_continued"))
     return LemmatizerModel(lexicon, scripts, provenance)
+
+
+def _check_counts(name: str, rows: list, table: dict) -> None:
+    """Check a loaded lexicon or scripts table against the file's rows: no
+    row repeats a key, every UPOS is one training keeps (a UPOS tag other
+    than SYM), each row's items are a list in which no item repeats, and
+    every count is an int >= 1."""
+    if len(table) != len(rows):
+        raise ValueError(f"{name}: a (form or suffix, UPOS) row repeats")
+    upos = set(map(itemgetter(1), table)) - LEMMA_UPOS
+    if upos:
+        raise ValueError(f"{name}: UPOS {sorted(map(repr, upos))[0]} is not a UPOS tag "
+                         "other than SYM")
+    items = list(map(itemgetter(2), rows))
+    if set(map(type, items)) - {list}:
+        raise ValueError(f"{name}: a row's items are not a list")
+    counts = list(chain.from_iterable(map(dict.values, table.values())))
+    if len(counts) != sum(map(len, items)):
+        raise ValueError(f"{name}: an item repeats within a row")
+    if set(map(type, counts)) - {int} or min(counts, default=1) < 1:
+        bad = next(c for c in counts if c.__class__ is not int or c < 1)
+        raise ValueError(f"{name}: count {bad!r} is not an int >= 1")

@@ -1,17 +1,18 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
-from medlatin import lemmatizer, scenarios
+from medlatin import lemmatizer, scenarios, tagger
 from medlatin.cli import run_cli
 from medlatin.conllu import parse_conllu
 
-from conftest import MINI_REGISTRY, TOY_CORPUS
+from conftest import MINI_DIR, MINI_REGISTRY, TOY_CORPUS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -1017,6 +1018,15 @@ sys.exit(run_cli(sys.argv[2:]))
 """
 
 
+def _kill_at_replace(k, argv):
+    """Run the CLI in a child that KILLED_AT_REPLACE ends at its k-th os.replace."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", KILLED_AT_REPLACE, str(k), *argv],
+                           env=env, capture_output=True, timeout=300)
+    assert child.returncode == 137, child.stderr
+
+
 def _files(directory):
     """{path relative to the directory: bytes} of every file under it."""
     return {str(path.relative_to(directory)): path.read_bytes()
@@ -1029,16 +1039,51 @@ def test_rerun_after_a_killed_write_makes_every_output_whole(tmp_path, capsys):
     assert run_cli(argv + ["--out", str(clean)]) == 0
     expected, expected_out = _files(clean), capsys.readouterr().out
     n_models = len(os.listdir(clean / "models"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     # Killed writing the first model, the last model and the results merge.
     for k, left in ((1, "models"), (n_models, "models"), (n_models + 1, "")):
         out = tmp_path / f"killed-{k}"
-        child = subprocess.run([sys.executable, "-c", KILLED_AT_REPLACE, str(k), *argv,
-                                "--out", str(out)], env=env, capture_output=True, timeout=300)
-        assert child.returncode == 137, child.stderr
+        _kill_at_replace(k, argv + ["--out", str(out)])
         orphans = [name for name in _files(out) if name.endswith(".tmp")]
         assert len(orphans) == 1 and os.path.dirname(orphans[0]) == left
+        _assert_outputs_load(out, n_complete=min(k - 1, n_models))
         assert run_cli(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == expected_out
         assert _files(out) == expected
+
+
+def _assert_outputs_load(out, n_complete):
+    """The n_complete model files under out each load with their loader,
+    and the results store is absent or reads as one."""
+    models = sorted((out / "models").glob("*.json"))
+    assert len(models) == n_complete
+    for path in models:
+        loader = lemmatizer if "lemma" in path.stem.split("__") else tagger
+        loader.load_model(str(path))
+    results = out / "results.tsv"
+    if results.exists():
+        scenarios.read_results_file(str(results))
+
+
+@pytest.mark.parametrize("command", ["tagger", "lemmatize", "normalize"])
+def test_killed_write_of_an_existing_out_keeps_its_earlier_bytes(tmp_path, command):
+    """A command killed at the os.replace of its --out leaves that file as
+    it was and one temporary file; a re-run writes the clean output."""
+    def argv(infile, out):
+        return {"tagger": ["tagger", "train", "--task", "upos", "--epochs", "1"],
+                "lemmatize": ["lemmatize", "train"],
+                "normalize": ["normalize"]}[command] + ["--in", infile, "--out", str(out)]
+
+    earlier, later = (os.path.join(MINI_DIR, f"{name}.conllu") for name in ("annals", "science"))
+    out, clean = tmp_path / "out" / "F", tmp_path / "clean"
+    out.parent.mkdir()
+    assert run_cli(argv(earlier, out)) == 0
+    assert run_cli(argv(later, clean)) == 0
+    earlier_bytes, clean_bytes = out.read_bytes(), clean.read_bytes()
+    assert earlier_bytes != clean_bytes
+    _kill_at_replace(1, argv(later, out))
+    assert out.read_bytes() == earlier_bytes
+    left = sorted(set(os.listdir(out.parent)) - {"F"})
+    assert len(left) == 1 and re.fullmatch(r"\.F\.\d+\.tmp", left[0]), left
+    assert run_cli(argv(later, out)) == 0
+    assert out.read_bytes() == clean_bytes
+    assert os.listdir(out.parent) == ["F"]

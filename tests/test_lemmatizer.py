@@ -1,17 +1,19 @@
 import json
 import os
 import tempfile
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medlatin import lemmatizer as lemmatizer_module
 from medlatin.conllu import Document
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.lemmatizer import (MAX_SUFFIX_KEY, MODEL_FORMAT, REFERENCE_SEQ2SEQ_CONFIG,
-                                 EditScript, LemmaQuery, ScriptIncompatible, apply_edit_script,
-                                 derive_edit_script, lemmatize, load_model, parse_wire_query,
-                                 save_model, train_lemmatizer)
+                                 EditScript, LemmaQuery, LemmatizerModel, ScriptIncompatible,
+                                 apply_edit_script, derive_edit_script, lemmatize, load_model,
+                                 parse_wire_query, save_model, train_lemmatizer)
 from medlatin.registry import load_dataset, load_registry
 
 from conftest import MINI_REGISTRY, simple_doc
@@ -233,6 +235,37 @@ def test_model_file_roundtrip(tmp_path):
     (lambda payload: payload["provenance"][0].update(was_continued="no"),
      r"provenance stage 0: was_continued must be a bool, not 'no'"),
     (lambda payload: payload["provenance"][0].update(was_continued=1), "malformed model"),
+    # A count that is not an int >= 1, which int() used to coerce.
+    *[(lambda payload, c=c: payload["lexicon"][0][2][0].__setitem__(1, c),
+       rf"lexicon: count {c!r} is not an int >= 1") for c in (2.9, "3", -5, 0, True)],
+    *[(lambda payload, c=c: payload["scripts"][1][2][0].__setitem__(1, c),
+       rf"scripts: count {c!r} is not an int >= 1") for c in (2.9, "3", -5, 0, True)],
+    # A UPOS that is not a tag, or is SYM, which training never keeps.
+    (lambda payload: payload["lexicon"][0].__setitem__(1, "FOO"),
+     "lexicon: UPOS 'FOO' is not a UPOS tag other than SYM"),
+    (lambda payload: payload["lexicon"][0].__setitem__(1, "SYM"), "UPOS 'SYM' is not"),
+    (lambda payload: payload["scripts"][0].__setitem__(1, "FOO"),
+     "scripts: UPOS 'FOO' is not a UPOS tag other than SYM"),
+    # A strip length or interior edit offset that is not an int >= 0.
+    *[(lambda payload, n=n, i=i: payload["scripts"][1][2][0][0].__setitem__(i, n),
+       rf"strip length or offset {n!r} is not an int >= 0")
+      for n in (1.5, -1, "2", True) for i in (0, 2)],
+    *[(lambda payload, n=n: payload["scripts"].append(
+        ["am", "ADJ", [[[0, "", 0, "", [[n, "c", "t"]]], 1]]]),
+       rf"strip length or offset {n!r} is not an int >= 0") for n in (1.5, -1)],
+    *[(lambda payload, edit=edit: payload["scripts"].append(
+        ["am", "ADJ", [[[0, "", 0, "", [edit]], 1]]]),
+       r"an interior edit is not \[offset, old, new\]") for edit in ([], [1, "c"], "abcd")],
+    # A repeated row, a repeated item, or items that are not a list.
+    (lambda payload: payload["lexicon"].append(payload["lexicon"][0]),
+     r"lexicon: a \(form or suffix, UPOS\) row repeats"),
+    (lambda payload: payload["scripts"].append(payload["scripts"][0]), "scripts: a .* row repeats"),
+    (lambda payload: payload["lexicon"][0][2].append(["adduco", 1]),
+     "lexicon: an item repeats within a row"),
+    (lambda payload: payload["scripts"][0][2].append([[0, "", 1, "", []], 1]),
+     "scripts: an item repeats within a row"),
+    (lambda payload: payload["lexicon"][0].__setitem__(2, {"adduco": 2}),
+     "lexicon: a row's items are not a list"),
 ])
 def test_load_model_rejects_malformed_file(tmp_path, edit, message):
     path = tmp_path / "lemma.json"
@@ -457,6 +490,13 @@ def test_pooled_index_is_ignored_by_equality(tmp_path):
     assert loaded == MINI_MODELS[1]
     assert loaded.pooled == MINI_MODELS[1].pooled
     assert "pooled" not in repr(loaded)
+    for form in MINI_FORMS:
+        lemmatize(loaded, LemmaQuery(form, "NOUN"))
+    cold = fresh(loaded)
+    assert loaded.answers and not cold.answers
+    assert loaded == cold == MINI_MODELS[1]
+    assert "answers" not in repr(loaded)
+    assert repr(loaded) == repr(cold)
 
 
 def _escaping_corpus():
@@ -481,3 +521,99 @@ def test_model_files_match_json_dump_reference(tmp_path, which):
     resaved = tmp_path / "resaved.json"
     save_model(load_model(str(new_path)), str(resaved))
     assert resaved.read_bytes() == reference_path.read_bytes()
+
+
+# lemmatize before the answer table, kept verbatim as the reference the
+# table is tested against.
+
+def _top(counter: dict):
+    """The counter's most frequent item; a tie goes to the smaller lemma or script."""
+    return min(counter, key=lambda item: (-counter[item], item))
+
+
+def tableless_lemmatize(model, query: LemmaQuery) -> str:
+    """Run the decision cascade; never fails (step 5 guarantees totality)."""
+    form, upos = query
+    if upos == "SYM":
+        return "_"
+    form = form.lower()
+    entry = model.lexicon.get((form, upos))
+    if entry:
+        return _top(entry)
+    suffixes = [form[-n:] for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1)]
+    by_upos = (model.scripts.get((suffix, upos)) for suffix in suffixes)
+    for counter in chain(by_upos, map(model.pooled.get, suffixes)):
+        if counter:
+            try:
+                return apply_edit_script(_top(counter), form)
+            except ScriptIncompatible:
+                continue
+    return form
+
+
+def fresh(model):
+    """The same counts in a new model, whose answer table is empty."""
+    return LemmatizerModel(model.lexicon, model.scripts, model.provenance)
+
+
+CASINGS = (str, str.upper, str.capitalize, str.swapcase)
+
+
+@st.composite
+def query_sequences(draw):
+    """A few distinct queries, asked in any order and casing, most of them
+    more than once; "adducam" and "Adducam" are one query to the table."""
+    pool = draw(st.lists(queries(), min_size=1, max_size=6))
+    asked = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(CASINGS)),
+                          min_size=1, max_size=30))
+    return [LemmaQuery(casing(query.form), query.upos) for query, casing in asked]
+
+
+def _assert_answers_like_reference(model, sequence):
+    for query in sequence:
+        assert lemmatize(model, query) == tableless_lemmatize(model, query)
+    assert all(upos != "SYM" for _form, upos in model.answers)
+    for (form, upos), lemma in model.answers.items():
+        assert lemma == tableless_lemmatize(model, LemmaQuery(form, upos))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MINI_MODELS + LOADED_MINI_MODELS), query_sequences())
+def test_answer_table_gives_the_tableless_answers(model, sequence):
+    model = fresh(model)
+    _assert_answers_like_reference(model, sequence)
+    asked = {(query.form.lower(), query.upos) for query in sequence if query.upos != "SYM"}
+    assert model.answers.keys() == asked
+
+
+def test_continued_model_starts_with_an_empty_answer_table(tmp_path):
+    base = fresh(MINI_MODELS[0])
+    sequence = [LemmaQuery(form, upos) for form in MINI_FORMS for upos in ("NOUN", "VERB")]
+    before = [lemmatize(base, query) for query in sequence]
+    table = dict(base.answers)
+    assert len(table) == len(sequence)
+    genres = simple_doc([[("terram", "terrum", "NOUN"), ("adducam", "adducor", "VERB")]])
+    continued = train_lemmatizer(genres, base=base)
+    assert continued.answers == {}
+    assert base.answers == table
+    assert [lemmatize(base, query) for query in sequence] == before
+    _assert_answers_like_reference(continued, sequence)
+    # The table is never written: a warm model saves as a cold one does.
+    warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
+    save_model(base, str(warm))
+    save_model(fresh(base), str(cold))
+    assert warm.read_bytes() == cold.read_bytes()
+    assert load_model(str(warm)).answers == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MINI_MODELS + LOADED_MINI_MODELS), query_sequences())
+def test_a_full_answer_table_takes_no_entry_and_stays_right(model, sequence):
+    model = fresh(model)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lemmatizer_module, "ANSWER_TABLE_SIZE", 3)
+        for query in sequence + sequence:
+            assert lemmatize(model, query) == tableless_lemmatize(model, query)
+            assert len(model.answers) <= 3
+    first = list(dict.fromkeys((q.form.lower(), q.upos) for q in sequence if q.upos != "SYM"))
+    assert list(model.answers) == first[:3]
