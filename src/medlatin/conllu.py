@@ -15,10 +15,16 @@ are kept verbatim and never interpreted.
 Dependency-related columns (XPOS, HEAD, DEPREL, DEPS) are carried opaquely
 and re-emitted verbatim; they are never interpreted.
 
-Tokens are frozen, so equal tokens may be one shared object: one parse
+Tokens are frozen, so equal tokens may be one shared object: the process
 builds one Token per distinct token line and reuses it for every repeat of
-that line.  Only lines that parse cleanly are shared, so every error and
-the line it names are those of a parse that shares nothing.
+that line, within a parse and across parses, through _TOKEN_LINES, a memo
+of at most TOKEN_MEMO_SIZE (8192) lines that is emptied when full (~5.4 MB
+then).  Only lines that parse cleanly enter it, and a parsed line never
+depends on its file, its line number or drop_unsupported, so every
+document, every error and the line it names are those of a parse that
+shares nothing.  Parsing a file again only splits its lines and assembles
+its sentences.  Threads may parse at once: each entry is built from its own
+line, so a race can only drop entries or pass the bound by one per thread.
 
 relabel is the one way a document's labels are rewritten: prediction and
 lemma normalization both copy a document through it, one label per token
@@ -47,6 +53,9 @@ UPOS_TAGS = frozenset({
 
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
+
+TOKEN_MEMO_SIZE = 8192
+_TOKEN_LINES: dict[str, Token] = {}  # token line that parsed cleanly -> its Token
 
 
 class MalformedLine(MedlatinError):
@@ -198,7 +207,6 @@ def parse_conllu(text: str, source_name: str = "<string>",
     tokens: list[Token] = []
     first_comment_line = 0
     feats_table: dict[str, tuple[tuple[str, str], ...]] = {}  # FEATS column -> ufeats
-    token_table: dict[str, Token] = {}  # token line that parsed cleanly -> its Token
 
     def flush() -> None:
         nonlocal comments, tokens
@@ -228,7 +236,7 @@ def parse_conllu(text: str, source_name: str = "<string>",
                 first_comment_line = line_no
             comments.append(line)
             continue
-        tok = token_table.get(line)
+        tok = _TOKEN_LINES.get(line)
         if tok is not None:
             tokens.append(tok)
             continue
@@ -250,8 +258,10 @@ def parse_conllu(text: str, source_name: str = "<string>",
         ufeats = feats_table.get(raw_feats)
         if ufeats is None:
             ufeats = feats_table[raw_feats] = feats_from_string(raw_feats, line_no)
-        tok = token_table[line] = Token(int(raw_id), form, lemma, upos, ufeats, misc,
-                                        (xpos, head, deprel, deps))
+        if len(_TOKEN_LINES) >= TOKEN_MEMO_SIZE:
+            _TOKEN_LINES.clear()
+        tok = _TOKEN_LINES[line] = Token(int(raw_id), form, lemma, upos, ufeats, misc,
+                                         (xpos, head, deprel, deps))
         tokens.append(tok)
     flush()
     return Document(tuple(sentences), source_name)

@@ -329,12 +329,13 @@ def load_model(path: str) -> TaggerModel:
     Every tagset label must be one the task can hold (conllu.TASKS), because
     tagging writes it into a CoNLL-U column.  The vocabulary must number
     its n features 0..n-1, as save_model writes it, because continued
-    training gives each new feature the next id.  Every weight row must
-    name a feature id from the vocabulary, a tag index inside the tagset,
-    because scoring indexes the tagset by it, and a finite int or float
-    weight, because save_model writes float.__repr__.  The model gets a
-    row for every feature, in id order; config_metadata must be an object
-    and is not kept.
+    training gives each new feature the next id.  Feature ids and tag
+    indices must be ints (not floats, strings or booleans); none is
+    coerced.  Every weight row must name a feature id from the vocabulary,
+    a tag index inside the tagset, because scoring indexes the tagset by
+    it, and a finite int or float weight, because save_model writes
+    float.__repr__.  The model gets a row for every feature, in id order;
+    config_metadata must be an object and is not kept.
     """
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
 
@@ -357,7 +358,11 @@ def _model_from_payload(payload: dict) -> TaggerModel:
     for label in tagset:
         TASKS[task].parse(label)
     vocab = payload["feature_vocabulary"]
-    feature_of = {int(f_id): f for f, f_id in vocab.items()}
+    feature_of = {f_id: f for f, f_id in vocab.items()}
+    for f_id, f in feature_of.items():
+        if f_id.__class__ is not int:
+            raise ValueError(f"the feature vocabulary gives {f!r} the id {f_id!r}, "
+                             "not an integer")
     if feature_of.keys() != set(range(len(vocab))):
         raise ValueError(f"the feature vocabulary must number its {len(vocab)} features "
                          f"0 to {len(vocab) - 1}, each once")
@@ -366,7 +371,9 @@ def _model_from_payload(payload: dict) -> TaggerModel:
     rows = list(weights.values())
     last = None  # save_model writes each feature id's rows one after another
     for f, t, w in payload["weights"]:
-        f, t = int(f), int(t)
+        if f.__class__ is not int or t.__class__ is not int:
+            raise ValueError(f"weight row {[f, t, w]}: the feature id and the tag index "
+                             "must be integers")
         if f != last:
             if f not in feature_of:
                 raise ValueError(f"weight row {[f, t, w]}: feature id {f} is not in the vocabulary")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from medlatin import conllu
 from medlatin.conllu import (TASKS, UPOS_TAGS, Document, InvalidUpos,
                              MalformedLine, NonConsecutiveIds, Sentence, Token,
                              UnsupportedToken, feats_from_string, parse_conllu,
@@ -358,6 +359,57 @@ def test_identical_token_lines_share_one_token():
     assert again is first
     assert differs is not first and differs.lemma == "armum"
     assert d == reference_parse_conllu(line + "\n" + line + "\n" + other + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(other=conllu_texts(), text=conllu_texts(), drop_other=st.booleans(),
+       drop_unsupported=st.booleans())
+def test_parse_after_other_texts_matches_reference(other, text, drop_other, drop_unsupported):
+    """The token memo outlives a parse: lines cached from another text, or
+    from the text itself, change no document, error or line number."""
+    parse_outcome(parse_conllu, other, drop_other)
+    expected = parse_outcome(reference_parse_conllu, text, drop_unsupported)
+    assert parse_outcome(parse_conllu, text, drop_unsupported) == expected
+    assert parse_outcome(parse_conllu, text, drop_unsupported) == expected
+
+
+def test_error_after_cached_lines_names_its_own_line():
+    good = "1\ta\ta\tNOUN\t_\t_\t_\t_\t_\t_\n2\tb\tb\tNOUN\t_\t_\t_\t_\t_\t_\n"
+    parse_conllu("# a\n# b\n# c\n" + good + "\n")  # caches both lines as lines 4 and 5
+    with pytest.raises(InvalidUpos) as exc:
+        parse_conllu(good + "3\tc\tc\tNN\t_\t_\t_\t_\t_\t_\n\n")
+    assert exc.value.line_no == 3
+    with pytest.raises(NonConsecutiveIds) as exc:
+        parse_conllu(good + "\n" + good + good + "\n")
+    assert exc.value.sent_index == 1
+
+
+class BoundedMemo(dict):
+    """A token memo that fails the test as soon as it holds more than 3 lines."""
+
+    def __setitem__(self, line, token):
+        super().__setitem__(line, token)
+        assert len(self) <= 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(st.tuples(conllu_texts(), st.booleans()), min_size=1, max_size=4))
+def test_bounded_memo_matches_reference(texts):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conllu, "TOKEN_MEMO_SIZE", 3)
+        patch.setattr(conllu, "_TOKEN_LINES", BoundedMemo())
+        for text, drop_unsupported in texts + texts:
+            assert (parse_outcome(parse_conllu, text, drop_unsupported)
+                    == parse_outcome(reference_parse_conllu, text, drop_unsupported))
+
+
+def test_two_parses_of_a_file_share_its_tokens():
+    conllu._TOKEN_LINES.clear()  # earlier tests may have nearly filled it
+    path = os.path.join(ROUNDTRIP_DIR, "rt_annals_1.conllu")
+    first, again = read_conllu(path), read_conllu(path)
+    assert first == again and first.token_count() > 0
+    for s, t in zip(first.sentences, again.sentences):
+        assert all(a is b for a, b in zip(s.tokens, t.tokens))
 
 
 def test_repeated_bad_feats_error_names_its_first_line():

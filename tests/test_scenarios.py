@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medlatin import lemmatizer, tagger
+from medlatin import conllu, lemmatizer, tagger
 from medlatin.analysis import lemma_error_pairs, pos_confusions
 from medlatin.conllu import TASKS, Document, Sentence, Token, serialize
 from medlatin.errors import MedlatinError
@@ -255,6 +255,25 @@ def test_execute_full_mini_grid_shape_and_determinism(tmp_path, mini_registry):
     assert genres == {"Annals", "Biography", "Normative", "Proceedings", "Science"}
     cells = {(row.scenario, row.genre, row.task) for row in rows}
     assert len(cells) == len(rows) == len(labels) * 5 * 3
+
+
+def test_grid_outputs_do_not_depend_on_the_token_memo(tmp_path, mini_registry):
+    """A grid that starts with an empty token memo and one that finds every
+    token line cached write the same results store and model files."""
+    runs = [run for kind in SCENARIO_KINDS for run in plan(Scenario(kind), mini_registry).runs]
+
+    def grid_files(name):
+        out = tmp_path / name
+        execute(runs, mini_registry, str(out))
+        return {path.relative_to(out): path.read_bytes()
+                for path in out.rglob("*") if path.is_file()}
+
+    conllu._TOKEN_LINES.clear()
+    cold = grid_files("cold")
+    assert conllu._TOKEN_LINES
+    warm = grid_files("warm")
+    assert len([path for path in cold if path.suffix == ".json"]) == 39
+    assert warm == cold
 
 
 def test_execute_persists_models_with_provenance(tmp_path, mini_registry):

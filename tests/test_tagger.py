@@ -696,6 +696,14 @@ def _move_feature_id_past_end(payload):
     payload["weights"] = [[n if f == 0 else f, t, w] for f, t, w in payload["weights"]]
 
 
+def _set_feature_id_0(value):
+    """Give the feature with id 0 this id in place of 0; the weight rows keep 0."""
+    def edit(payload):
+        vocab = payload["feature_vocabulary"]
+        vocab[min(vocab, key=vocab.get)] = value
+    return edit
+
+
 def _stage(**values):
     """Give the first provenance stage these values."""
     return lambda payload: payload["provenance"][0].update(values)
@@ -734,6 +742,18 @@ MALFORMED = {
     "negative-tag-index": _set_weights(lambda payload: [0, -1, 1.0]),
     "unknown-feature-id": _set_weights(
         lambda payload: [len(payload["feature_vocabulary"]), 0, 1.0]),
+    "float-feature-id": _set_weights(lambda payload: [0.9, 0, 1.0]),
+    "integral-float-feature-id": _set_weights(lambda payload: [0.0, 0, 1.0]),
+    "string-feature-id": _set_weights(lambda payload: ["0", 0, 1.0]),
+    "boolean-feature-id": _set_weights(lambda payload: [False, 0, 1.0]),
+    "null-feature-id": _set_weights(lambda payload: [None, 0, 1.0]),
+    "float-tag-index": _set_weights(lambda payload: [0, 0.9, 1.0]),
+    "string-tag-index": _set_weights(lambda payload: [0, "0", 1.0]),
+    "boolean-tag-index": _set_weights(lambda payload: [0, True, 1.0]),
+    "vocabulary-id-is-float": _set_feature_id_0(0.0),
+    "vocabulary-id-is-string": _set_feature_id_0("0"),
+    "vocabulary-id-is-bool": _set_feature_id_0(False),
+    "vocabulary-id-is-null": _set_feature_id_0(None),
     "infinite-weight": _set_weights(lambda payload: [0, 0, float("inf")]),
     "negative-infinite-weight": _set_weights(lambda payload: [0, 0, float("-inf")]),
     "nan-weight": _set_weights(lambda payload: [0, 0, float("nan")]),
