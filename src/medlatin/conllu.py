@@ -18,13 +18,15 @@ and re-emitted verbatim; they are never interpreted.
 Tokens are frozen, so equal tokens may be one shared object: the process
 builds one Token per distinct token line and reuses it for every repeat of
 that line, within a parse and across parses, through _TOKEN_LINES, a memo
-of at most TOKEN_MEMO_SIZE (8192) lines that is emptied when full (~5.4 MB
-then).  Only lines that parse cleanly enter it, and a parsed line never
-depends on its file, its line number or drop_unsupported, so every
+that keeps the first TOKEN_MEMO_SIZE (8192) distinct lines it meets and
+then takes no more (~5.4 MB when full); a line it does not hold gets a new
+Token each time.  Only lines that parse cleanly enter it, and a parsed line
+never depends on its file, its line number or drop_unsupported, so every
 document, every error and the line it names are those of a parse that
 shares nothing.  Parsing a file again only splits its lines and assembles
 its sentences.  Threads may parse at once: each entry is built from its own
-line, so a race can only drop entries or pass the bound by one per thread.
+line, so a race can only build a line's Token twice or pass the bound by
+one per thread.
 
 relabel is the one way a document's labels are rewritten: prediction and
 lemma normalization both copy a document through it, one label per token
@@ -258,10 +260,9 @@ def parse_conllu(text: str, source_name: str = "<string>",
         ufeats = feats_table.get(raw_feats)
         if ufeats is None:
             ufeats = feats_table[raw_feats] = feats_from_string(raw_feats, line_no)
-        if len(_TOKEN_LINES) >= TOKEN_MEMO_SIZE:
-            _TOKEN_LINES.clear()
-        tok = _TOKEN_LINES[line] = Token(int(raw_id), form, lemma, upos, ufeats, misc,
-                                         (xpos, head, deprel, deps))
+        tok = Token(int(raw_id), form, lemma, upos, ufeats, misc, (xpos, head, deprel, deps))
+        if len(_TOKEN_LINES) < TOKEN_MEMO_SIZE:
+            _TOKEN_LINES[line] = tok
         tokens.append(tok)
     flush()
     return Document(tuple(sentences), source_name)

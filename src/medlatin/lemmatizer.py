@@ -17,8 +17,10 @@ by form-suffix keys (lengths 1-5) plus UPOS.  Lookup is a fixed cascade:
     4. longest suffix key, any upos     -> same, counts pooled across tags
     5. fallback                         -> the form itself, lowercased
 
-Forms are lowercased before lookup and output casing is lowercase.  Staged
-training merges counts additively, so continuing on a new corpus accumulates
+Forms are lowercased before lookup and output casing is lowercase.  Training
+counts the corpus per distinct (lowercased form, UPOS, lowercased lemma)
+triple, so each distinct triple's script is derived once.  Staged training
+merges counts additively, so continuing on a new corpus accumulates
 evidence instead of restarting.
 
 Since the answer depends only on the lowercased form and the UPOS, each
@@ -35,6 +37,7 @@ into every model file for provenance, and nothing here interprets them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -183,9 +186,13 @@ def train_lemmatizer(corpus: Document, base: LemmatizerModel | None = None,
                      datasets: tuple[str, ...] | None = None) -> LemmatizerModel:
     """Count (form, upos, lemma) triples and index derived scripts by suffix.
 
-    Forms and lemmas are lowercased.  SYM tokens are excluded from both the
-    lexicon and the classifier; they are handled by the fixed SYM -> "_"
-    rule at query time.  When a base model is given its counts are merged
+    Forms and lemmas are lowercased.  The tokens are first counted per
+    distinct triple, in first-seen order; each triple then adds its count
+    to its lexicon entry and, with its script derived once, to each of its
+    suffix keys.  Every table comes out as a per-token pass would build it,
+    counts, key order and item order alike.  SYM tokens are excluded from
+    both the lexicon and the classifier; they are handled by the fixed
+    SYM -> "_" rule at query time.  When a base model is given its counts are merged
     additively; an empty corpus is then allowed and yields a model that
     predicts exactly like the base.
     """
@@ -196,18 +203,18 @@ def train_lemmatizer(corpus: Document, base: LemmatizerModel | None = None,
     if base is not None:
         _merge_counts(lexicon, base.lexicon)
         _merge_counts(scripts, base.scripts)
-    for sentence in corpus.sentences:
-        for token in sentence.tokens:
-            if token.upos == "SYM":
-                continue
-            form = token.form.lower()
-            lemma = token.lemma.lower()
-            bucket = lexicon.setdefault((form, token.upos), {})
-            bucket[lemma] = bucket.get(lemma, 0) + 1
-            script = derive_edit_script(form, lemma)
-            for n in range(1, min(MAX_SUFFIX_KEY, len(form)) + 1):
-                suffix_bucket = scripts.setdefault((form[-n:], token.upos), {})
-                suffix_bucket[script] = suffix_bucket.get(script, 0) + 1
+    # A triple's first token is the first to reach each key and item it
+    # adds to, so counting per triple keeps the per-token insertion order.
+    triples = Counter((token.form.lower(), token.upos, token.lemma.lower())
+                      for sentence in corpus.sentences for token in sentence.tokens
+                      if token.upos != "SYM")
+    for (form, upos, lemma), count in triples.items():
+        bucket = lexicon.setdefault((form, upos), {})
+        bucket[lemma] = bucket.get(lemma, 0) + count
+        script = derive_edit_script(form, lemma)
+        for n in range(1, min(MAX_SUFFIX_KEY, len(form)) + 1):
+            suffix_bucket = scripts.setdefault((form[-n:], upos), {})
+            suffix_bucket[script] = suffix_bucket.get(script, 0) + count
     stage = {
         "datasets": list(datasets) if datasets is not None else [corpus.source_name],
         "was_continued": base is not None,

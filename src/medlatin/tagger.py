@@ -45,7 +45,13 @@ only on those rows and the tagset, which a train call fixes.  So a rescore
 would give the gold tag again and change nothing, and a mistaken token,
 whose own rows it changes, is always rescored.  A skipped token still has
 its features extracted, and still advances the previous tag and the
-averaging step.
+averaging step.  One comparison settles most tokens: if no weight has
+changed anywhere since the token was last confirmed (last_change, the step
+of the call's latest update, is older), its rows are not read at all;
+otherwise the step at which each of its rows last changed decides.  A skip
+moves the token's confirmed step to the current one, as a rescore giving
+the gold tag would, so an epoch without a mistake makes every token after
+it skip on the one comparison.
 
 REFERENCE_FINETUNE_CONFIG holds the hyperparameters of the full-scale
 fine-tuning setup this trainer stands in for; save_model writes them into
@@ -217,9 +223,11 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
     ts: dict[str, dict[int, int]] = {}
     step = 0
     # For skipping a rescore: changed[f] is the step at which row f last
-    # changed, correct_since[s_i][i] the step at which token i of sentence
-    # s_i was last tagged correctly; -1 stands for never.
+    # changed and last_change the step of the latest change to any row;
+    # correct_since[s_i][i] is the step at which token i of sentence s_i was
+    # last tagged correctly or skipped; -1 stands for never.
     changed = dict.fromkeys(w, -1)
+    last_change = -1
     correct_since = [[-1] * len(g) for g in gold_indices]
 
     rng = random.Random(seed)
@@ -239,9 +247,11 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
                         if f not in w:
                             w[f] = {}
                             changed[f] = -1
-                elif max(map(changed.__getitem__, feats)) < since[i]:
+                elif (last_change < since[i]
+                      or max(map(changed.__getitem__, feats)) < since[i]):
                     # Same rows as when it was last tagged correctly: a
                     # rescore would give the gold tag again and change nothing.
+                    since[i] = step
                     prev = sentence_labels[i]
                     step += 1
                     continue
@@ -249,6 +259,7 @@ def train(corpus, task: str, epochs: int = 5, base: TaggerModel | None = None,
                 if p_idx == g_idx:
                     since[i] = step
                 else:
+                    last_change = step
                     for f in feats:
                         changed[f] = step
                         row = w[f]

@@ -403,6 +403,30 @@ def test_bounded_memo_matches_reference(texts):
                     == parse_outcome(reference_parse_conllu, text, drop_unsupported))
 
 
+def test_full_memo_keeps_its_first_lines():
+    lines = [f"{i}\t{form}\t{form}\tNOUN\t_\t_\t_\t_\t_\t_"
+             for i, form in enumerate("abcde", start=1)]
+    text = "\n".join(lines) + "\n\n"
+    later = "\n".join(lines[:3]) + "\n\n" + "\n".join(lines[:1]) + "\n\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conllu, "TOKEN_MEMO_SIZE", 3)
+        patch.setattr(conllu, "_TOKEN_LINES", {})
+        first = parse_conllu(text)
+        assert list(conllu._TOKEN_LINES) == lines[:3]
+        again = parse_conllu(text)
+        assert list(conllu._TOKEN_LINES) == lines[:3]
+        held = first.sentences[0].tokens[:3]
+        assert all(a is b for a, b in zip(held, again.sentences[0].tokens))
+        assert not any(a is b for a, b in zip(first.sentences[0].tokens[3:],
+                                                  again.sentences[0].tokens[3:]))
+        shared = parse_conllu(later)
+        assert all(a is b for a, b in zip(held, shared.sentences[0].tokens))
+        assert shared.sentences[1].tokens[0] is held[0]
+        for other in (text, later, text):
+            assert (parse_outcome(parse_conllu, other, False)
+                    == parse_outcome(reference_parse_conllu, other, False))
+
+
 def test_two_parses_of_a_file_share_its_tokens():
     conllu._TOKEN_LINES.clear()  # earlier tests may have nearly filled it
     path = os.path.join(ROUNDTRIP_DIR, "rt_annals_1.conllu")

@@ -617,3 +617,82 @@ def test_a_full_answer_table_takes_no_entry_and_stays_right(model, sequence):
             assert len(model.answers) <= 3
     first = list(dict.fromkeys((q.form.lower(), q.upos) for q in sequence if q.upos != "SYM"))
     assert list(model.answers) == first[:3]
+
+
+# train_lemmatizer as it was before it counted per distinct triple, its
+# per-token loop kept verbatim and its empty-corpus check left out.
+# train_lemmatizer must build exactly its tables, key and item order included.
+
+def per_token_train_lemmatizer(corpus, base=None, datasets=None):
+    lexicon = {}
+    scripts = {}
+    if base is not None:
+        lemmatizer_module._merge_counts(lexicon, base.lexicon)
+        lemmatizer_module._merge_counts(scripts, base.scripts)
+    for sentence in corpus.sentences:
+        for token in sentence.tokens:
+            if token.upos == "SYM":
+                continue
+            form = token.form.lower()
+            lemma = token.lemma.lower()
+            bucket = lexicon.setdefault((form, token.upos), {})
+            bucket[lemma] = bucket.get(lemma, 0) + 1
+            script = derive_edit_script(form, lemma)
+            for n in range(1, min(MAX_SUFFIX_KEY, len(form)) + 1):
+                suffix_bucket = scripts.setdefault((form[-n:], token.upos), {})
+                suffix_bucket[script] = suffix_bucket.get(script, 0) + 1
+    stage = {
+        "datasets": list(datasets) if datasets is not None else [corpus.source_name],
+        "was_continued": base is not None,
+    }
+    provenance = (base.provenance if base is not None else ()) + (stage,)
+    return LemmatizerModel(lexicon, scripts, provenance)
+
+
+@st.composite
+def repeating_corpora(draw, name):
+    """Mixed-case forms and lemmas, SYM tokens, triples that repeat in
+    other casings, and forms both shorter and longer than MAX_SUFFIX_KEY."""
+    words = st.text("abuABUİ", min_size=1, max_size=MAX_SUFFIX_KEY + 2)
+    pool = draw(st.lists(st.tuples(words, words, st.sampled_from(("NOUN", "VERB", "SYM"))),
+                         min_size=1, max_size=6))
+    recased = st.sampled_from(pool).flatmap(lambda row: st.sampled_from(
+        [row, (row[0].upper(), row[1], row[2]), (row[0], row[1].swapcase(), row[2])]))
+    return simple_doc(draw(st.lists(st.lists(recased, min_size=1, max_size=8),
+                                    min_size=1, max_size=4)), name=name)
+
+
+def _ordered(table):
+    return [(key, list(counter.items())) for key, counter in table.items()]
+
+
+def assert_same_lemmatizer(corpus, base, tmp_dir):
+    model = train_lemmatizer(corpus, base=base)
+    reference = per_token_train_lemmatizer(corpus, base=base)
+    assert _ordered(model.lexicon) == _ordered(reference.lexicon)
+    assert _ordered(model.scripts) == _ordered(reference.scripts)
+    assert _ordered(model.pooled) == _ordered(reference.pooled)
+    assert model.provenance == reference.provenance
+    new_path, reference_path = os.path.join(tmp_dir, "new.json"), os.path.join(tmp_dir, "ref.json")
+    save_model(model, new_path)
+    save_model(reference, reference_path)
+    with open(new_path, "rb") as new, open(reference_path, "rb") as ref:
+        assert new.read() == ref.read()
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating_corpora("base"), repeating_corpora("corpus"))
+def test_training_matches_per_token_reference(base_corpus, corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_lemmatizer(corpus, None, tmp)
+        base = assert_same_lemmatizer(base_corpus, None, tmp)
+        assert_same_lemmatizer(corpus, base, tmp)
+        assert_same_lemmatizer(Document((), "empty"), base, tmp)
+
+
+def test_training_matches_per_token_reference_on_mini_stages(tmp_path):
+    registry = load_registry(MINI_REGISTRY)
+    base = assert_same_lemmatizer(load_dataset(registry, "ud_alpha"), None, str(tmp_path))
+    for genre in ("Annals", "Science"):
+        assert_same_lemmatizer(load_dataset(registry, genre), base, str(tmp_path))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from medlatin import tagger as tagger_module
 from medlatin.conllu import TASKS, concat_documents
 from medlatin.errors import EmptyCorpus, MedlatinError
 from medlatin.registry import load_dataset, load_registry
@@ -578,17 +579,132 @@ def rescoring_train(corpus, task, epochs=5, base=None, seed=0, datasets=None):
     return FeatureMajorModel(task, tagset_t, averaged, provenance)
 
 
+# Reference implementation: train as it was before it learned to skip on
+# one comparison with the step of the latest weight update.  From epoch 1
+# on it reads every confirmed token's rows to decide a skip, and a skip
+# leaves the token's confirmed step as it was.  Its loop is kept verbatim
+# and its argument checks left out.  train must return exactly its model
+# and make exactly its _best_index calls, in the same order.
+
+def row_check_train(corpus, task, epochs=5, base=None, seed=0, datasets=None):
+    if base is not None:
+        tagset = list(base.tagset)
+        w = {f: dict(row) for f, row in base.weights.items()}
+    else:
+        tagset, w = [], {}
+    sentences = corpus.sentences
+    labels = [list(map(TASKS[task].read, s.tokens)) for s in sentences]
+    known = set(tagset)
+    for label in sorted({label for sentence_labels in labels for label in sentence_labels}):
+        if label not in known:
+            tagset.append(label)
+            known.add(label)
+    tagset_t = tuple(tagset)
+    tag_index = {t: i for i, t in enumerate(tagset_t)}
+    gold_indices = [[tag_index[label] for label in sentence_labels] for sentence_labels in labels]
+
+    # Lazy averaging: acc[f][t] accumulates sum-over-steps of weight (f, t),
+    # flushed at (ts[f][t], now] intervals; untouched weights average to
+    # their starting value, which keeps epochs=0 an exact identity on the base.
+    acc: dict[str, dict[int, float]] = {}
+    ts: dict[str, dict[int, int]] = {}
+    step = 0
+    # For skipping a rescore: changed[f] is the step at which row f last
+    # changed, correct_since[s_i][i] the step at which token i of sentence
+    # s_i was last tagged correctly; -1 stands for never.
+    changed = dict.fromkeys(w, -1)
+    correct_since = [[-1] * len(g) for g in gold_indices]
+
+    rng = random.Random(seed)
+    order = list(range(len(sentences)))
+    for epoch in range(epochs):
+        rng.shuffle(order)
+        for s_i in order:
+            sentence, sentence_labels = sentences[s_i], labels[s_i]
+            since = correct_since[s_i]
+            prev = BOUNDARY
+            for i, g_idx in enumerate(gold_indices[s_i]):
+                feats = extract_features(sentence, i, prev)
+                # Teacher forcing gives every epoch the same feature tuples,
+                # so epoch 0 meets every feature, in first-seen order.
+                if not epoch:
+                    for f in feats:
+                        if f not in w:
+                            w[f] = {}
+                            changed[f] = -1
+                elif max(map(changed.__getitem__, feats)) < since[i]:
+                    # Same rows as when it was last tagged correctly: a
+                    # rescore would give the gold tag again and change nothing.
+                    prev = sentence_labels[i]
+                    step += 1
+                    continue
+                p_idx = _best_index(tagset_t, w, feats)
+                if p_idx == g_idx:
+                    since[i] = step
+                else:
+                    for f in feats:
+                        changed[f] = step
+                        row = w[f]
+                        acc_row = acc.setdefault(f, {})
+                        ts_row = ts.setdefault(f, {})
+                        for t_idx, delta in ((g_idx, 1.0), (p_idx, -1.0)):
+                            value = row.get(t_idx, 0.0)
+                            acc_row[t_idx] = (acc_row.get(t_idx, 0.0)
+                                              + (step - ts_row.get(t_idx, 0)) * value)
+                            ts_row[t_idx] = step
+                            row[t_idx] = value + delta
+                prev = sentence_labels[i]
+                step += 1
+
+    averaged: dict[str, dict[int, float]] = {}
+    for f, row in w.items():
+        acc_row, ts_row = acc.get(f, {}), ts.get(f, {})
+        kept = averaged[f] = {}
+        for t_idx, value in row.items():
+            if step:
+                value = (acc_row.get(t_idx, 0.0) + (step - ts_row.get(t_idx, 0)) * value) / step
+            if value != 0.0:
+                kept[t_idx] = value
+
+    stage = {
+        "datasets": list(datasets) if datasets is not None else [corpus.source_name],
+        "epochs": epochs,
+        "was_continued": base is not None,
+    }
+    provenance = (base.provenance if base is not None else ()) + (stage,)
+    return FeatureMajorModel(task, tagset_t, averaged, provenance)
+
+
+def scored_training(train_fn, *args, **kwargs):
+    """train_fn's model, and the (tagset, features, best index) of each
+    _best_index call it made, in order."""
+    best_index, calls = tagger_module._best_index, []
+
+    def recording(tagset, weights, features):
+        best = best_index(tagset, weights, features)
+        calls.append((tagset, features, best))
+        return best
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tagger_module, "_best_index", recording)
+        patch.setitem(globals(), "_best_index", recording)
+        return train_fn(*args, **kwargs), calls
+
+
 def assert_same_training(corpus, task, epochs, base, seed, tmp_dir):
-    model = train(corpus, task, epochs=epochs, base=base, seed=seed)
-    reference = rescoring_train(corpus, task, epochs=epochs, base=base, seed=seed)
-    assert list(model.weights.items()) == list(reference.weights.items())
-    assert (model.task, model.tagset, model.provenance) == (
-        reference.task, reference.tagset, reference.provenance)
+    model, calls = scored_training(train, corpus, task, epochs=epochs, base=base, seed=seed)
+    checked, checked_calls = scored_training(row_check_train, corpus, task, epochs=epochs,
+                                             base=base, seed=seed)
+    assert calls == checked_calls
+    rescored = rescoring_train(corpus, task, epochs=epochs, base=base, seed=seed)
     new_path, reference_path = os.path.join(tmp_dir, "new.json"), os.path.join(tmp_dir, "ref.json")
     save_model(model, new_path)
-    save_model(reference, reference_path)
-    with open(new_path, "rb") as new, open(reference_path, "rb") as ref:
-        assert new.read() == ref.read()
+    for reference in (checked, rescored):
+        assert list(model.weights.items()) == list(reference.weights.items())
+        assert (model.task, model.tagset, model.provenance) == (
+            reference.task, reference.tagset, reference.provenance)
+        save_model(reference, reference_path)
+        with open(new_path, "rb") as new, open(reference_path, "rb") as ref:
+            assert new.read() == ref.read()
     return model
 
 
@@ -621,16 +737,16 @@ def test_training_matches_rescoring_reference(task, base_rows, rows, epochs, see
                              tmp)
 
 
-def test_training_rescores_only_tokens_whose_rows_changed(monkeypatch, toy_corpus):
-    scored = []
-    monkeypatch.setattr("medlatin.tagger._best_index",
-                        lambda *args: scored.append(args) or _best_index(*args))
-    model = train(toy_corpus, "upos", epochs=10, seed=1)
+def test_training_rescores_only_tokens_whose_rows_changed(toy_corpus):
+    model, scored = scored_training(train, toy_corpus, "upos", epochs=10, seed=1)
+    checked, checked_scored = scored_training(row_check_train, toy_corpus, "upos", epochs=10,
+                                              seed=1)
     tokens = sum(len(s.tokens) for s in toy_corpus.sentences)
-    # Epoch 0 scores every token; the nine epochs after it, which converge,
-    # rescore fewer tokens between them than one epoch holds.
-    assert tokens < len(scored) < 2 * tokens
-    assert model == rescoring_train(toy_corpus, "upos", epochs=10, seed=1)
+    # Epoch 0 scores every token; the nine epochs after it rescore exactly
+    # the tokens the row check rescores, and no others.
+    assert tokens < len(scored)
+    assert scored == checked_scored
+    assert model == checked == rescoring_train(toy_corpus, "upos", epochs=10, seed=1)
 
 
 def test_negative_epochs_is_a_named_error(toy_corpus):
