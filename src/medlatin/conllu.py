@@ -15,18 +15,17 @@ are kept verbatim and never interpreted.
 Dependency-related columns (XPOS, HEAD, DEPREL, DEPS) are carried opaquely
 and re-emitted verbatim; they are never interpreted.
 
-Tokens are frozen, so equal tokens may be one shared object: the process
-builds one Token per distinct token line and reuses it for every repeat of
-that line, within a parse and across parses, through _TOKEN_LINES, a memo
-that keeps the first TOKEN_MEMO_SIZE (8192) distinct lines it meets and
-then takes no more (~5.4 MB when full); a line it does not hold gets a new
-Token each time.  Only lines that parse cleanly enter it, and a parsed line
-never depends on its file, its line number or drop_unsupported, so every
-document, every error and the line it names are those of a parse that
-shares nothing.  Parsing a file again only splits its lines and assembles
-its sentences.  Threads may parse at once: each entry is built from its own
-line, so a race can only build a line's Token twice or pass the bound by
-one per thread.
+Parsing a text again is free below a bound: _DOCUMENTS maps each
+(text, drop_unsupported) that parsed cleanly to its tuple of Sentences,
+and a repeat parse wraps that tuple in a new Document named by its own
+call.  The memo takes a text only while the tokens it holds stay within
+TOKEN_MEMO_SIZE (8192), and never drops one; a text that would pass the
+bound is parsed on every call.  A text that raises is never stored, so
+every error and the line it names are those of a fresh parse.  Within
+one parse, tokens are frozen and each distinct token line becomes one
+Token shared by its repeats.  Threads may parse at once: a race can only
+parse a text twice, or lose an update to the token count and so pass the
+bound by one document per thread.
 
 relabel is the one way a document's labels are rewritten: prediction and
 lemma normalization both copy a document through it, one label per token
@@ -56,8 +55,9 @@ UPOS_TAGS = frozenset({
 _RANGE_ID = re.compile(r"^\d+-\d+$")
 _EMPTY_NODE_ID = re.compile(r"^\d+\.\d+$")
 
-TOKEN_MEMO_SIZE = 8192
-_TOKEN_LINES: dict[str, Token] = {}  # token line that parsed cleanly -> its Token
+TOKEN_MEMO_SIZE = 8192  # tokens the document memo holds at most
+_DOCUMENTS: dict[tuple[str, bool], tuple[Sentence, ...]] = {}  # (text, drop) -> sentences
+_memo_tokens = 0  # tokens held in _DOCUMENTS; empty both together
 
 
 class MalformedLine(MedlatinError):
@@ -202,13 +202,18 @@ def parse_conllu(text: str, source_name: str = "<string>",
     Non-canonical but well-formed input is accepted and canonicalized.  One
     leading byte-order mark (U+FEFF) is dropped.
     """
+    global _memo_tokens
     if text.startswith("\ufeff"):
         text = text[1:]
+    held = _DOCUMENTS.get((text, drop_unsupported))
+    if held is not None:
+        return Document(held, source_name)
     sentences: list[Sentence] = []
     comments: list[str] = []
     tokens: list[Token] = []
     first_comment_line = 0
     feats_table: dict[str, tuple[tuple[str, str], ...]] = {}  # FEATS column -> ufeats
+    token_lines: dict[str, Token] = {}  # token line -> its Token
 
     def flush() -> None:
         nonlocal comments, tokens
@@ -238,7 +243,7 @@ def parse_conllu(text: str, source_name: str = "<string>",
                 first_comment_line = line_no
             comments.append(line)
             continue
-        tok = _TOKEN_LINES.get(line)
+        tok = token_lines.get(line)
         if tok is not None:
             tokens.append(tok)
             continue
@@ -260,12 +265,16 @@ def parse_conllu(text: str, source_name: str = "<string>",
         ufeats = feats_table.get(raw_feats)
         if ufeats is None:
             ufeats = feats_table[raw_feats] = feats_from_string(raw_feats, line_no)
-        tok = Token(int(raw_id), form, lemma, upos, ufeats, misc, (xpos, head, deprel, deps))
-        if len(_TOKEN_LINES) < TOKEN_MEMO_SIZE:
-            _TOKEN_LINES[line] = tok
+        tok = token_lines[line] = Token(int(raw_id), form, lemma, upos, ufeats, misc,
+                                        (xpos, head, deprel, deps))
         tokens.append(tok)
     flush()
-    return Document(tuple(sentences), source_name)
+    doc = Document(tuple(sentences), source_name)
+    n_tokens = doc.token_count()
+    if _memo_tokens + n_tokens <= TOKEN_MEMO_SIZE:
+        _DOCUMENTS[text, drop_unsupported] = doc.sentences
+        _memo_tokens += n_tokens
+    return doc
 
 
 def read_conllu(path: str, drop_unsupported: bool = False) -> Document:

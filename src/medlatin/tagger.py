@@ -338,15 +338,16 @@ def load_model(path: str) -> TaggerModel:
     """Read a model file; a malformed one raises MedlatinError naming the path.
 
     Every tagset label must be one the task can hold (conllu.TASKS), because
-    tagging writes it into a CoNLL-U column.  The vocabulary must number
-    its n features 0..n-1, as save_model writes it, because continued
-    training gives each new feature the next id.  Feature ids and tag
-    indices must be ints (not floats, strings or booleans); none is
-    coerced.  Every weight row must name a feature id from the vocabulary,
-    a tag index inside the tagset, because scoring indexes the tagset by
-    it, and a finite int or float weight, because save_model writes
-    float.__repr__.  The model gets a row for every feature, in id order;
-    config_metadata must be an object and is not kept.
+    tagging writes it into a CoNLL-U column, and no label may repeat.  The
+    vocabulary must number its n features 0..n-1, as save_model writes it,
+    because continued training gives each new feature the next id.  Feature
+    ids and tag indices must be ints (not floats, strings or booleans);
+    none is coerced.  Every weight row must name a feature id from the
+    vocabulary, a tag index inside the tagset, because scoring indexes the
+    tagset by it, and a finite int or float weight, because save_model
+    writes float.__repr__; no (feature id, tag index) pair may repeat.  The
+    model gets a row for every feature, in id order; config_metadata must
+    be an object and is not kept.
     """
     return read_model_file(path, MODEL_FORMAT, MODEL_SCHEMA, _model_from_payload)
 
@@ -366,6 +367,8 @@ def _model_from_payload(payload: dict) -> TaggerModel:
     tagset = tuple(payload["tagset"])
     if not tagset or not all(isinstance(t, str) for t in tagset):
         raise ValueError("tagset must be a non-empty list of strings")
+    if len(set(tagset)) != len(tagset):
+        raise ValueError("a label repeats in the tagset")
     for label in tagset:
         TASKS[task].parse(label)
     vocab = payload["feature_vocabulary"]
@@ -396,5 +399,7 @@ def _model_from_payload(payload: dict) -> TaggerModel:
         if w.__class__ is not float or not isfinite(w):
             w = _finite_weight(f, t, w)
         row[t] = w
+    if sum(map(len, rows)) != len(payload["weights"]):
+        raise ValueError("a (feature id, tag index) weight row repeats")
     provenance = read_provenance(payload["provenance"], ("datasets", "epochs", "was_continued"))
     return TaggerModel(task, tagset, weights, provenance)

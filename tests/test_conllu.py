@@ -1,5 +1,6 @@
 import glob
 import os
+import pathlib
 import re
 from dataclasses import replace
 
@@ -365,8 +366,8 @@ def test_identical_token_lines_share_one_token():
 @given(other=conllu_texts(), text=conllu_texts(), drop_other=st.booleans(),
        drop_unsupported=st.booleans())
 def test_parse_after_other_texts_matches_reference(other, text, drop_other, drop_unsupported):
-    """The token memo outlives a parse: lines cached from another text, or
-    from the text itself, change no document, error or line number."""
+    """The document memo outlives a parse: texts held from another parse,
+    or the text itself, change no document, error or line number."""
     parse_outcome(parse_conllu, other, drop_other)
     expected = parse_outcome(reference_parse_conllu, text, drop_unsupported)
     assert parse_outcome(parse_conllu, text, drop_unsupported) == expected
@@ -375,7 +376,7 @@ def test_parse_after_other_texts_matches_reference(other, text, drop_other, drop
 
 def test_error_after_cached_lines_names_its_own_line():
     good = "1\ta\ta\tNOUN\t_\t_\t_\t_\t_\t_\n2\tb\tb\tNOUN\t_\t_\t_\t_\t_\t_\n"
-    parse_conllu("# a\n# b\n# c\n" + good + "\n")  # caches both lines as lines 4 and 5
+    parse_conllu("# a\n# b\n# c\n" + good + "\n")  # the memo holds this text, not its lines
     with pytest.raises(InvalidUpos) as exc:
         parse_conllu(good + "3\tc\tc\tNN\t_\t_\t_\t_\t_\t_\n\n")
     assert exc.value.line_no == 3
@@ -385,55 +386,86 @@ def test_error_after_cached_lines_names_its_own_line():
 
 
 class BoundedMemo(dict):
-    """A token memo that fails the test as soon as it holds more than 3 lines."""
+    """A document memo that fails the test as soon as it holds more tokens
+    than TOKEN_MEMO_SIZE."""
 
-    def __setitem__(self, line, token):
-        super().__setitem__(line, token)
-        assert len(self) <= 3
+    def __setitem__(self, key, sentences):
+        super().__setitem__(key, sentences)
+        held = sum(len(s.tokens) for value in self.values() for s in value)
+        assert held <= conllu.TOKEN_MEMO_SIZE
+
+
+def empty_memo(patch, size):
+    """Give parse_conllu an empty BoundedMemo of `size` tokens."""
+    patch.setattr(conllu, "TOKEN_MEMO_SIZE", size)
+    patch.setattr(conllu, "_DOCUMENTS", BoundedMemo())
+    patch.setattr(conllu, "_memo_tokens", 0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(texts=st.lists(st.tuples(conllu_texts(), st.booleans()), min_size=1, max_size=4))
-def test_bounded_memo_matches_reference(texts):
+@given(texts=st.lists(st.tuples(conllu_texts(), st.booleans(), st.booleans()),
+                      min_size=1, max_size=4),
+       size=st.integers(0, 12))
+def test_bounded_memo_matches_reference(texts, size):
+    """Texts parsed twice, with and without a BOM, under a small bound:
+    every outcome is the reference's, and the memo holds only clean texts."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(conllu, "TOKEN_MEMO_SIZE", 3)
-        patch.setattr(conllu, "_TOKEN_LINES", BoundedMemo())
-        for text, drop_unsupported in texts + texts:
+        empty_memo(patch, size)
+        for text, bom, drop_unsupported in texts + texts:
+            text = "\ufeff" * bom + text
             assert (parse_outcome(parse_conllu, text, drop_unsupported)
                     == parse_outcome(reference_parse_conllu, text, drop_unsupported))
+        for (text, drop_unsupported), sentences in conllu._DOCUMENTS.items():
+            assert reference_parse_conllu(text, "", drop_unsupported).sentences == sentences
 
 
-def test_full_memo_keeps_its_first_lines():
-    lines = [f"{i}\t{form}\t{form}\tNOUN\t_\t_\t_\t_\t_\t_"
-             for i, form in enumerate("abcde", start=1)]
-    text = "\n".join(lines) + "\n\n"
-    later = "\n".join(lines[:3]) + "\n\n" + "\n".join(lines[:1]) + "\n\n"
+def test_full_memo_keeps_its_first_documents():
+    def text(n, form):
+        return "".join(f"{i}\t{form}\t{form}\tNOUN\t_\t_\t_\t_\t_\t_\n"
+                       for i in range(1, n + 1)) + "\n"
+    first, large, fits, late = text(3, "a"), text(3, "b"), text(2, "c"), text(1, "d")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(conllu, "TOKEN_MEMO_SIZE", 3)
-        patch.setattr(conllu, "_TOKEN_LINES", {})
-        first = parse_conllu(text)
-        assert list(conllu._TOKEN_LINES) == lines[:3]
-        again = parse_conllu(text)
-        assert list(conllu._TOKEN_LINES) == lines[:3]
-        held = first.sentences[0].tokens[:3]
-        assert all(a is b for a, b in zip(held, again.sentences[0].tokens))
-        assert not any(a is b for a, b in zip(first.sentences[0].tokens[3:],
-                                                  again.sentences[0].tokens[3:]))
-        shared = parse_conllu(later)
-        assert all(a is b for a, b in zip(held, shared.sentences[0].tokens))
-        assert shared.sentences[1].tokens[0] is held[0]
-        for other in (text, later, text):
-            assert (parse_outcome(parse_conllu, other, False)
-                    == parse_outcome(reference_parse_conllu, other, False))
+        empty_memo(patch, 5)
+        docs = {t: parse_conllu(t) for t in (first, large, fits, late)}
+        assert list(conllu._DOCUMENTS) == [(first, False), (fits, False)]
+        assert conllu._memo_tokens == 5
+        for t, d in docs.items():
+            again = parse_conllu(t, source_name="again")
+            assert again == d and again.source_name == "again"
+            assert (again.sentences is d.sentences) == (t in (first, fits))
+            assert (parse_outcome(parse_conllu, t, False)
+                    == parse_outcome(reference_parse_conllu, t, False))
 
 
-def test_two_parses_of_a_file_share_its_tokens():
-    conllu._TOKEN_LINES.clear()  # earlier tests may have nearly filled it
+def test_memo_holds_no_error_and_keys_on_drop_unsupported():
+    ranged = "1-2\tdelle\t_\t_\t_\t_\t_\t_\t_\t_\n1\tde\tde\tADP\t_\t_\t_\t_\t_\t_\n\n"
+    bad = MINIMAL + "1\ta\ta\tNN\t_\t_\t_\t_\t_\t_\n\n"
+    with pytest.MonkeyPatch.context() as patch:
+        empty_memo(patch, 100)
+        for _ in range(2):
+            with pytest.raises(InvalidUpos) as exc:
+                parse_conllu(bad)
+            assert exc.value.line_no == 4
+            with pytest.raises(UnsupportedToken) as exc:
+                parse_conllu(ranged)
+            assert exc.value.line_no == 1
+            dropped = parse_conllu(ranged, drop_unsupported=True)
+            assert dropped == reference_parse_conllu(ranged, drop_unsupported=True)
+        assert list(conllu._DOCUMENTS) == [(ranged, True)]
+
+
+def test_two_parses_of_a_file_share_its_tokens(tmp_path):
     path = os.path.join(ROUNDTRIP_DIR, "rt_annals_1.conllu")
-    first, again = read_conllu(path), read_conllu(path)
-    assert first == again and first.token_count() > 0
-    for s, t in zip(first.sentences, again.sentences):
-        assert all(a is b for a, b in zip(s.tokens, t.tokens))
+    text = pathlib.Path(path).read_text(encoding="utf-8")
+    bom = tmp_path / "bom.conllu"
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        empty_memo(patch, conllu.TOKEN_MEMO_SIZE)
+        first, again, with_bom = read_conllu(path), read_conllu(path), read_conllu(str(bom))
+    assert first == again == with_bom and first.token_count() > 0
+    assert again.sentences is first.sentences and with_bom.sentences is first.sentences
+    assert (first.source_name, with_bom.source_name) == (path, str(bom))
+    assert first == reference_parse_conllu(text)
 
 
 def test_repeated_bad_feats_error_names_its_first_line():

@@ -257,9 +257,11 @@ def test_execute_full_mini_grid_shape_and_determinism(tmp_path, mini_registry):
     assert len(cells) == len(rows) == len(labels) * 5 * 3
 
 
-def test_grid_outputs_do_not_depend_on_the_token_memo(tmp_path, mini_registry):
-    """A grid that starts with an empty token memo and one that finds every
-    token line cached write the same results store and model files."""
+def test_grid_outputs_do_not_depend_on_the_document_memo(tmp_path, mini_registry,
+                                                         monkeypatch):
+    """A grid that starts with an empty document memo and one that finds
+    every file's text held there write the same results store and model
+    files."""
     runs = [run for kind in SCENARIO_KINDS for run in plan(Scenario(kind), mini_registry).runs]
 
     def grid_files(name):
@@ -268,10 +270,13 @@ def test_grid_outputs_do_not_depend_on_the_token_memo(tmp_path, mini_registry):
         return {path.relative_to(out): path.read_bytes()
                 for path in out.rglob("*") if path.is_file()}
 
-    conllu._TOKEN_LINES.clear()
+    monkeypatch.setattr(conllu, "_DOCUMENTS", {})
+    monkeypatch.setattr(conllu, "_memo_tokens", 0)
     cold = grid_files("cold")
-    assert conllu._TOKEN_LINES
+    held = dict(conllu._DOCUMENTS)
+    assert len(held) == len({path for d in mini_registry for path in d.paths})
     warm = grid_files("warm")
+    assert conllu._DOCUMENTS == held
     assert len([path for path in cold if path.suffix == ".json"]) == 39
     assert warm == cold
 

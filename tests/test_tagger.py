@@ -840,6 +840,9 @@ MALFORMED = {
     "vocabulary-ids-shifted": _shift_feature_ids,
     "vocabulary-id-past-end": _move_feature_id_past_end,
     "empty-tagset": _set("tagset", []),
+    "repeated-tagset-label": lambda payload: payload["tagset"].append(payload["tagset"][0]),
+    "repeated-weight-row": lambda payload: payload["weights"].append(
+        payload["weights"][0][:2] + [123.0]),
     "unknown-task": _set("task", "deps"),
     "lemma-task": _set("task", "lemma"),
     "upos-label-not-a-tag": _set_label("BOGUS\tX"),
@@ -910,6 +913,17 @@ def test_load_model_rejects_vocabulary_not_numbered_from_zero(tmp_path, toy_corp
     write_edited(path, toy_corpus, MALFORMED[case])
     with pytest.raises(MedlatinError, match=r"tagger\.json: malformed model \(the feature "
                        r"vocabulary must number its \d+ features 0 to \d+, each once\)$"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("case, detail", [
+    ("repeated-tagset-label", "a label repeats in the tagset"),
+    ("repeated-weight-row", r"a \(feature id, tag index\) weight row repeats"),
+], ids=["tagset-label", "weight-row"])
+def test_load_model_rejects_a_repeat(tmp_path, toy_corpus, case, detail):
+    path = tmp_path / "tagger.json"
+    write_edited(path, toy_corpus, MALFORMED[case])
+    with pytest.raises(MedlatinError, match=rf"tagger\.json: malformed model \({detail}\)$"):
         load_model(str(path))
 
 
