@@ -8,10 +8,11 @@ genuine bugs still escape as ordinary exceptions.
 Model files are the text json.dump(payload, fh, ensure_ascii=False,
 indent=0, sort_keys=True) writes, plus a final newline.  The writer here
 lays out the large arrays itself: json's encoder drops to pure Python, one
-call and one write per value, as soon as it is asked to indent.  json_row,
-json_array, json_entries and JSONItems hold that layout; a model's large
-arrays are rendered a row at a time from a json_row format string and
-handed to the writer as JSONItems.
+call and one write per value, as soon as it is asked to indent.  A model
+module renders each item of a large array or object (at indent=0, a row is
+"[\n" + its values joined by ",\n" + "\n]") with one f-string, from
+json_string for a string and repr for a float, and hands the items to the
+writer as JSONItems.
 """
 
 import json
@@ -126,32 +127,9 @@ def read_provenance(stages: list, keys: tuple[str, ...]) -> tuple[dict, ...]:
     return tuple(checked)
 
 
-def json_row(*cells: str) -> str:
-    """A %-format string for a JSON array of len(cells) values.
-
-    Each cell is a conversion: %d for an int, %r for a finite float (json
-    writes float.__repr__ too), %s for a string already passed through
-    json_string or for JSON text.  A cell may also be literal JSON text
-    without a '%' in it, such as str(an int).
-    """
-    return "[\n" + ",\n".join(cells) + "\n]"
-
-
-def json_array(items) -> str:
-    """JSON text of an array whose items are given as JSON texts."""
-    body = ",\n".join(items)
-    return "[\n" + body + "\n]" if body else "[]"
-
-
-def json_entries(keys, values):
-    """The '"key": value' texts of an object's entries, from its str keys
-    in sorted order and the JSON texts of their values."""
-    return map("%s: %s".__mod__, zip(map(json_string, keys), values))
-
-
 class JSONItems:
     """A JSON array, or with brackets="{}" an object, given as an iterable
-    of its items' JSON texts (json_entries for an object).  The items are
+    of its items' JSON texts ('"key": value' for an object).  The items are
     rendered as they are consumed: write_model_file writes them a batch at
     a time, so a large array is never held as one text."""
 
@@ -253,8 +231,10 @@ def write_model_file(path: str, payload: dict) -> None:
     top-level entry at a time and a JSONItems value a batch at a time.
 
     A value that is not JSONItems is small and goes through json.dumps: at
-    indent=0 a nested value's text does not depend on its depth.  A float
-    that is not finite raises ValueError, as NaN and Infinity are not JSON.
+    indent=0 a nested value's text does not depend on its depth.  In such a
+    value a float that is not finite raises ValueError, as NaN and Infinity
+    are not JSON; a JSONItems text is written as it is given, so its
+    renderer must reject one itself, as tagger.save_model does.
     """
     def chunks():
         keys = sorted(payload)

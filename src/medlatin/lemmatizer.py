@@ -30,6 +30,9 @@ yet in it.  The table takes at most ANSWER_TABLE_SIZE (16384) entries,
 about 3 MB when full, and after that answers only the queries it holds;
 it is never written to a model file and starts empty in every model.
 
+save_model writes each lexicon and scripts row, and each [item, count]
+pair in it, with one f-string; each distinct script's text is made once.
+
 REFERENCE_SEQ2SEQ_CONFIG holds the hyperparameters of the byte-level
 generation setup this classifier stands in for; save_model writes them
 into every model file for provenance, and nothing here interprets them.
@@ -44,8 +47,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .conllu import UPOS_TAGS, Document
-from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_array, json_row, json_string,
-                     read_model_file, read_provenance, write_model_file)
+from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_string, read_model_file,
+                     read_provenance, write_model_file)
 
 MODEL_FORMAT = "medlatin-lemmatizer/1"
 
@@ -275,27 +278,24 @@ def parse_wire_query(line: str) -> LemmaQuery:
     return LemmaQuery(form, upos)
 
 
-_COUNTS_ROW = json_row("%s", "%s", "%s")  # form or suffix, upos, [[item, count], ...]
-_ITEM_COUNT = json_row("%s", "%d")
-_SCRIPT = json_row("%d", "%s", "%d", "%s", "%s")  # the fields of EditScript
-_INTERIOR_EDIT = json_row("%d", "%s", "%s")
-
-
 def _script_text(key: tuple) -> str:
+    """The JSON text of an edit script: [strip_p, add_p, strip_s, add_s, interior]."""
     strip_p, add_p, strip_s, add_s, interior = key
-    edits = json_array(_INTERIOR_EDIT % (o, json_string(old), json_string(new))
-                       for o, old, new in interior)
-    return _SCRIPT % (strip_p, json_string(add_p), strip_s, json_string(add_s), edits)
+    edits = ",\n".join([f"[\n{o},\n{json_string(old)},\n{json_string(new)}\n]"
+                        for o, old, new in interior])
+    edits = f"[\n{edits}\n]" if edits else "[]"
+    return f"[\n{strip_p},\n{json_string(add_p)},\n{strip_s},\n{json_string(add_s)},\n{edits}\n]"
 
 
 def _counts_rows(table: dict, item_text):
-    """The JSON texts of the lexicon's or the scripts' rows, sorted by key;
-    item_text(item) is the JSON text of a lemma or a script."""
+    """The JSON texts of the lexicon's or the scripts' rows, sorted by key:
+    [form or suffix, upos, [[item, count], ...]], where item_text(item) is
+    the JSON text of a lemma or a script."""
     for (name, upos), counter in sorted(table.items()):
-        items = sorted(counter)
-        counts = json_array(map(_ITEM_COUNT.__mod__,
-                                zip(map(item_text, items), map(counter.__getitem__, items))))
-        yield _COUNTS_ROW % (json_string(name), json_string(upos), counts)
+        pairs = ",\n".join([f"[\n{item_text(item)},\n{counter[item]}\n]"
+                            for item in sorted(counter)])
+        pairs = f"[\n{pairs}\n]" if pairs else "[]"
+        yield f"[\n{json_string(name)},\n{json_string(upos)},\n{pairs}\n]"
 
 
 def save_model(model: LemmatizerModel, path: str) -> None:

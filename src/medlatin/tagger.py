@@ -34,7 +34,9 @@ in first-seen order, so a feature's id is its row's position.  Only the
 model file names features by id: save_model works out its feature
 vocabulary (feature -> id) and its [feature id, tag index, weight] rows,
 sorted by feature id, then tag index, and load_model rebuilds the rows in
-id order, so training from a loaded base model continues its ids.
+id order, so training from a loaded base model continues its ids.  Each row
+is one f-string, and each distinct nonzero weight's float.__repr__, the
+costly part, is made and checked to be finite once per save.
 
 From epoch 1 on, train skips scoring a token that was tagged correctly
 when last scored, if no weight row of its features has changed since.
@@ -66,8 +68,8 @@ from functools import lru_cache
 from math import isfinite
 
 from .conllu import TASKS, Sentence
-from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_entries, json_row,
-                     read_model_file, read_provenance, write_model_file)
+from .errors import (EmptyCorpus, JSONItems, MedlatinError, json_string, read_model_file,
+                     read_provenance, write_model_file)
 
 BOUNDARY = "<s>"
 END_BOUNDARY = "</s>"
@@ -304,27 +306,33 @@ def tag(model: TaggerModel, sentence: Sentence) -> list[str]:
     return tags
 
 
-_WEIGHT_ROW = json_row("%d", "%d", "%r")  # feature id, tag index, weight
-
-
-def _weight_rows(weights: dict[str, dict[int, float]]):
-    """The weight rows' JSON texts, by feature id (row position), then tag index."""
-    for f_id, row in enumerate(weights.values()):
+def _weight_rows(weights: dict[str, dict[int, float]], path: str):
+    """The weight rows' JSON texts, by feature id (row position), then tag
+    index.  Each distinct nonzero weight's repr is made, and checked to be
+    finite, once; a zero is written by repr, as 0.0 and -0.0 are one key."""
+    texts = {}
+    for f_id, (f, row) in enumerate(weights.items()):
         for t, w in sorted(row.items()):
-            yield _WEIGHT_ROW % (f_id, t, w)
+            text = texts.get(w) if w else repr(w)
+            if text is None:
+                if not isfinite(w):
+                    raise MedlatinError(f"{path}: cannot write the weight {w!r} of feature "
+                                        f"{f!r}, tag index {t}: not a finite number")
+                text = texts[w] = repr(w)
+            yield f"[\n{f_id},\n{t},\n{text}\n]"
 
 
 def save_model(model: TaggerModel, path: str) -> None:
-    """Write the model file; a feature's id is its weight row's position."""
-    ids = {f: str(f_id) for f_id, f in enumerate(model.weights)}
-    features = sorted(ids)
+    """Write the model file; a feature's id is its weight row's position.
+    A weight that is not finite raises MedlatinError and leaves path as it was."""
+    ids = {f: f_id for f_id, f in enumerate(model.weights)}
     write_model_file(path, {
         "format": MODEL_FORMAT,
         "task": model.task,
         "tagset": list(model.tagset),
-        "feature_vocabulary": JSONItems(json_entries(features, map(ids.__getitem__, features)),
+        "feature_vocabulary": JSONItems((f"{json_string(f)}: {ids[f]}" for f in sorted(ids)),
                                         "{}"),
-        "weights": JSONItems(_weight_rows(model.weights)),
+        "weights": JSONItems(_weight_rows(model.weights, path)),
         "provenance": list(model.provenance),
         "config_metadata": REFERENCE_FINETUNE_CONFIG,
     })

@@ -1,4 +1,5 @@
 import os
+from json.encoder import encode_basestring as json_string
 
 import pytest
 
@@ -58,3 +59,30 @@ def toy_corpus():
     from medlatin.conllu import parse_conllu
     with open(TOY_CORPUS, encoding="utf-8") as fh:
         return parse_conllu(fh.read(), source_name="toy")
+
+
+# The row helpers model files were rendered with before each row became one
+# f-string (formerly in medlatin.errors), kept verbatim for the reference
+# writers the model-file differential tests compare against.
+
+def json_row(*cells: str) -> str:
+    """A %-format string for a JSON array of len(cells) values.
+
+    Each cell is a conversion: %d for an int, %r for a finite float (json
+    writes float.__repr__ too), %s for a string already passed through
+    json_string or for JSON text.  A cell may also be literal JSON text
+    without a '%' in it, such as str(an int).
+    """
+    return "[\n" + ",\n".join(cells) + "\n]"
+
+
+def json_array(items) -> str:
+    """JSON text of an array whose items are given as JSON texts."""
+    body = ",\n".join(items)
+    return "[\n" + body + "\n]" if body else "[]"
+
+
+def json_entries(keys, values):
+    """The '"key": value' texts of an object's entries, from its str keys
+    in sorted order and the JSON texts of their values."""
+    return map("%s: %s".__mod__, zip(map(json_string, keys), values))

@@ -243,6 +243,25 @@ def test_tagger_train_rejects_base_with_shifted_feature_ids(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tagger_train_refuses_to_write_a_weight_that_overflowed(tmp_path, capsys):
+    """A finite base weight near the float maximum overflows to inf in
+    averaging; the model cannot hold it as JSON, so no file is written."""
+    annals = os.path.join(MINI_DIR, "annals.conllu")
+    base, out = tmp_path / "base.json", tmp_path / "cont.json"
+    assert run_cli(["tagger", "train", "--task", "upos", "--in", annals, "--out", str(base)]) == 0
+    payload = json.loads(base.read_text(encoding="utf-8"))
+    f_id, t, _ = payload["weights"][0]
+    payload["weights"][0][2] = 1e308
+    base.write_text(json.dumps(payload), encoding="utf-8")
+    feature = next(f for f, i in payload["feature_vocabulary"].items() if i == f_id)
+    assert run_cli(["tagger", "train", "--task", "upos", "--base", str(base), "--in", annals,
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: MedlatinError: {out}: cannot write the weight inf of feature {feature!r}, "
+        f"tag index {t}: not a finite number\n")
+    assert sorted(os.listdir(tmp_path)) == ["base.json"]
+
+
 @pytest.mark.parametrize("kind", ["tagger", "lemmatize"])
 def test_train_rejects_base_whose_provenance_has_wrong_types(tmp_path, capsys, kind):
     model, out = tmp_path / "model.json", tmp_path / "out.json"

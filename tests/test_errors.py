@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medlatin import errors
-from medlatin.errors import (JSONItems, MedlatinError, json_entries, json_row, json_string,
-                             write_file, write_model_file)
+from medlatin import errors, lemmatizer, tagger
+from medlatin.errors import JSONItems, MedlatinError, json_string, write_file, write_model_file
 
 
 def json_dump_bytes(value) -> bytes:
@@ -70,20 +69,27 @@ def test_writer_matches_json_dump(payload, batch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 500), FLOATS), max_size=7),
-       st.dictionaries(TEXT, st.integers(), max_size=7), st.integers(1, 3))
-def test_row_formats_and_batches_match_json_dump(weight_rows, vocab, batch):
-    keys = sorted(vocab)
+@given(st.dictionaries(TEXT, st.dictionaries(st.integers(0, 500), FLOATS, max_size=3), max_size=7),
+       st.dictionaries(st.tuples(TEXT, TEXT), st.dictionaries(TEXT, st.integers(1), max_size=3),
+                       max_size=7),
+       st.integers(1, 3))
+def test_row_formats_and_batches_match_json_dump(weights, counts, batch):
+    """The tagger's weight rows and vocabulary entries and the lemmatizer's
+    count rows, written through JSONItems in batches, are what json.dump
+    writes for the same values."""
+    ids = {f: f_id for f_id, f in enumerate(weights)}
     payload = {
-        "weights": batched(map(json_row("%d", "%d", "%r").__mod__, weight_rows), batch=batch),
-        "vocab": batched(json_entries(keys, map(str, map(vocab.__getitem__, keys))), "{}", batch),
-        "n": len(weight_rows),
+        "weights": batched(tagger._weight_rows(weights, "model.json"), batch=batch),
+        "vocab": batched((f"{json_string(f)}: {ids[f]}" for f in sorted(ids)), "{}", batch),
+        "n": len(weights),
     }
-    plain = {"weights": [list(row) for row in weight_rows], "vocab": vocab, "n": len(weight_rows)}
+    plain = {"weights": [[ids[f], t, w] for f, row in weights.items()
+                         for t, w in sorted(row.items())],
+             "vocab": ids, "n": len(weights)}
     assert writer_bytes(payload) == json_dump_bytes(plain)
-    rows = batched(map(json_row("7", "%s", "%d").__mod__,
-                       ((json_string(k), v) for k, v in sorted(vocab.items()))), batch=batch)
-    assert "".join(rows.chunks()) == dumps([[7, k, v] for k, v in sorted(vocab.items())])
+    rows = batched(lemmatizer._counts_rows(counts, json_string), batch=batch)
+    assert "".join(rows.chunks()) == dumps(
+        [[name, upos, sorted(counter.items())] for (name, upos), counter in sorted(counts.items())])
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

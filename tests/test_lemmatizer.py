@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from medlatin import lemmatizer as lemmatizer_module
 from medlatin.conllu import Document
-from medlatin.errors import EmptyCorpus, MedlatinError
+from medlatin.errors import (EmptyCorpus, JSONItems, MedlatinError, json_string,
+                             write_model_file)
 from medlatin.lemmatizer import (MAX_SUFFIX_KEY, MODEL_FORMAT, REFERENCE_SEQ2SEQ_CONFIG,
                                  EditScript, LemmaQuery, LemmatizerModel, ScriptIncompatible,
                                  apply_edit_script, derive_edit_script, lemmatize, load_model,
                                  parse_wire_query, save_model, train_lemmatizer)
 from medlatin.registry import load_dataset, load_registry
 
-from conftest import MINI_REGISTRY, simple_doc
+from conftest import MINI_REGISTRY, json_array, json_row, simple_doc
 
 
 def test_derive_suffix_script():
@@ -696,3 +697,85 @@ def test_training_matches_per_token_reference_on_mini_stages(tmp_path):
     base = assert_same_lemmatizer(load_dataset(registry, "ud_alpha"), None, str(tmp_path))
     for genre in ("Annals", "Science"):
         assert_same_lemmatizer(load_dataset(registry, genre), base, str(tmp_path))
+
+
+# The model-file writer before each row and each [item, count] pair was
+# rendered with one f-string, kept verbatim as the reference the writer is
+# tested against.
+
+_COUNTS_ROW = json_row("%s", "%s", "%s")  # form or suffix, upos, [[item, count], ...]
+_ITEM_COUNT = json_row("%s", "%d")
+_SCRIPT = json_row("%d", "%s", "%d", "%s", "%s")  # the fields of EditScript
+_INTERIOR_EDIT = json_row("%d", "%s", "%s")
+
+
+def _script_text(key: tuple) -> str:
+    strip_p, add_p, strip_s, add_s, interior = key
+    edits = json_array(_INTERIOR_EDIT % (o, json_string(old), json_string(new))
+                       for o, old, new in interior)
+    return _SCRIPT % (strip_p, json_string(add_p), strip_s, json_string(add_s), edits)
+
+
+def _counts_rows(table: dict, item_text):
+    """The JSON texts of the lexicon's or the scripts' rows, sorted by key;
+    item_text(item) is the JSON text of a lemma or a script."""
+    for (name, upos), counter in sorted(table.items()):
+        items = sorted(counter)
+        counts = json_array(map(_ITEM_COUNT.__mod__,
+                                zip(map(item_text, items), map(counter.__getitem__, items))))
+        yield _COUNTS_ROW % (json_string(name), json_string(upos), counts)
+
+
+def reference_save_model(model: LemmatizerModel, path: str) -> None:
+    """Write the model file; each distinct script's JSON text is made once."""
+    scripts = {key for counter in model.scripts.values() for key in counter}
+    script_texts = {key: _script_text(key) for key in scripts}
+    write_model_file(path, {
+        "format": MODEL_FORMAT,
+        "lexicon": JSONItems(_counts_rows(model.lexicon, json_string)),
+        "scripts": JSONItems(_counts_rows(model.scripts, script_texts.__getitem__)),
+        "provenance": list(model.provenance),
+        "config_metadata": REFERENCE_SEQ2SEQ_CONFIG,
+    })
+
+
+# Brackets, quotes, backslashes, separators and non-ASCII text.
+ESCAPED_TEXT = st.text(st.sampled_from('[]{}",:\\/\n\t\x00\xe9€ \U0001d504a'), max_size=6)
+ANY_UPOS = st.one_of(st.sampled_from(["NOUN", "VERB"]), ESCAPED_TEXT)
+SCRIPTS = st.one_of(
+    st.builds(derive_edit_script, ESCAPED_TEXT, ESCAPED_TEXT),
+    st.tuples(st.integers(0, 9), ESCAPED_TEXT, st.integers(0, 9), ESCAPED_TEXT,
+              st.lists(st.tuples(st.integers(0, 9), ESCAPED_TEXT, ESCAPED_TEXT),
+                       max_size=3).map(tuple)))
+
+
+def count_tables(items):
+    """(name, upos) -> {item: count} tables, empty counters among them, as a
+    loaded file can hold.  Some are padded with one-item rows until they hold
+    exactly 1024 or 1025 rows, JSONItems' batch size or one more."""
+    counter = st.dictionaries(items, st.integers(1, 10**6), max_size=4)
+
+    @st.composite
+    def tables(draw):
+        table = draw(st.dictionaries(st.tuples(ESCAPED_TEXT, ANY_UPOS), counter, max_size=8))
+        target = draw(st.sampled_from([None, 1024, 1025]))
+        if target is not None:
+            pool = draw(st.lists(items, min_size=1, max_size=3))
+            rng = draw(st.randoms(use_true_random=False))
+            for i in range(target - len(table)):
+                table[(f"pad{i}", "NOUN")] = {rng.choice(pool): rng.randint(1, 3)}
+        return table
+    return tables()
+
+
+@settings(max_examples=120, deadline=None)
+@given(count_tables(ESCAPED_TEXT), count_tables(SCRIPTS))
+def test_save_model_writes_the_reference_writers_bytes(lexicon, scripts):
+    model = LemmatizerModel(lexicon, scripts,
+                            ({"datasets": ['"\\\xe9]'], "was_continued": False},))
+    with tempfile.TemporaryDirectory() as tmp:
+        new_path, reference_path = os.path.join(tmp, "new.json"), os.path.join(tmp, "ref.json")
+        save_model(model, new_path)
+        reference_save_model(model, reference_path)
+        with open(new_path, "rb") as new, open(reference_path, "rb") as reference:
+            assert new.read() == reference.read()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from medlatin import tagger as tagger_module
 from medlatin.conllu import TASKS, concat_documents
-from medlatin.errors import EmptyCorpus, MedlatinError
+from medlatin.errors import EmptyCorpus, JSONItems, MedlatinError, write_model_file
 from medlatin.registry import load_dataset, load_registry
 from medlatin.tagger import (BOUNDARY, END_BOUNDARY, FORM_MEMO_SIZE, MODEL_FORMAT,
                              REFERENCE_FINETUNE_CONFIG, IndexOutOfRange, NegativeEpochs,
@@ -18,7 +18,7 @@ from medlatin.tagger import (BOUNDARY, END_BOUNDARY, FORM_MEMO_SIZE, MODEL_FORMA
                              load_model, save_model, tag, train)
 from medlatin.tagger import TaggerModel as FeatureMajorModel
 
-from conftest import MINI_REGISTRY, sent, simple_doc, tok
+from conftest import MINI_REGISTRY, json_entries, json_row, sent, simple_doc, tok
 
 
 def all_tags(model, corpus):
@@ -952,3 +952,92 @@ def test_load_model_rejects_truncated_file(tmp_path, toy_corpus):
     path.write_bytes(path.read_bytes()[:200])
     with pytest.raises(MedlatinError, match="tagger.json: not a JSON file"):
         load_model(str(path))
+
+
+# The model-file writer before weight rows were rendered with one f-string
+# and a per-save table of weight texts, kept verbatim as the reference the
+# writer is tested against.
+
+_WEIGHT_ROW = json_row("%d", "%d", "%r")  # feature id, tag index, weight
+
+
+def _weight_rows(weights: dict[str, dict[int, float]]):
+    """The weight rows' JSON texts, by feature id (row position), then tag index."""
+    for f_id, row in enumerate(weights.values()):
+        for t, w in sorted(row.items()):
+            yield _WEIGHT_ROW % (f_id, t, w)
+
+
+def reference_save_model(model: FeatureMajorModel, path: str) -> None:
+    """Write the model file; a feature's id is its weight row's position."""
+    ids = {f: str(f_id) for f_id, f in enumerate(model.weights)}
+    features = sorted(ids)
+    write_model_file(path, {
+        "format": MODEL_FORMAT,
+        "task": model.task,
+        "tagset": list(model.tagset),
+        "feature_vocabulary": JSONItems(json_entries(features, map(ids.__getitem__, features)),
+                                        "{}"),
+        "weights": JSONItems(_weight_rows(model.weights)),
+        "provenance": list(model.provenance),
+        "config_metadata": REFERENCE_FINETUNE_CONFIG,
+    })
+
+
+# Brackets, quotes, backslashes, separators and non-ASCII text.
+ESCAPED_TEXT = st.text(st.sampled_from('[]{}",:\\/\n\t\x00\xe9€ \U0001d504a='),
+                       max_size=6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def weight_tables(draw):
+    """Weights for a model of n_tags tags: rows keyed by feature strings
+    that need escaping, many of them empty, with weights drawn mostly from a
+    pool of a few values that holds 0.0 and -0.0.  Some tables are padded
+    with one-weight rows, then empty ones, until the weight rows and then
+    the features number exactly 1024 or 1025, JSONItems' batch size or one
+    more."""
+    n_tags = draw(st.integers(1, 6))
+    pool = [0.0, -0.0] + draw(st.lists(FINITE, min_size=1, max_size=3))
+    weight = st.one_of(st.sampled_from(pool), FINITE)
+    weights = draw(st.dictionaries(ESCAPED_TEXT, st.dictionaries(
+        st.integers(0, n_tags - 1), weight, max_size=n_tags), max_size=8))
+    target = draw(st.sampled_from([None, 1024, 1025]))
+    if target is not None:
+        rng = draw(st.randoms(use_true_random=False))
+        for i in range(target - sum(map(len, weights.values()))):
+            weights[f"pad={i}"] = {rng.randrange(n_tags): rng.choice(pool)}
+        for i in range(target - len(weights)):
+            weights[f"empty={i}"] = {}
+    return n_tags, weights
+
+
+@settings(max_examples=120, deadline=None)
+@given(weight_tables(), st.lists(ESCAPED_TEXT, min_size=6, max_size=6, unique=True))
+@example((2, {"a": {0: -0.0, 1: 0.0}, "b": {}, "c": {1: 0.0, 0: -0.0}, "d": {0: 0.5, 1: 0.5}}),
+         ["_", "b", "c", "d", "e", "f"])
+def test_save_model_writes_the_reference_writers_bytes(table, labels):
+    n_tags, weights = table
+    model = FeatureMajorModel("upos", tuple(labels[:n_tags]), weights,
+                              ({"datasets": ['"\\\xe9]'], "epochs": 1, "was_continued": False},))
+    with tempfile.TemporaryDirectory() as tmp:
+        new_path, reference_path = os.path.join(tmp, "new.json"), os.path.join(tmp, "ref.json")
+        save_model(model, new_path)
+        reference_save_model(model, reference_path)
+        with open(new_path, "rb") as new, open(reference_path, "rb") as reference:
+            assert new.read() == reference.read()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_save_model_rejects_a_weight_that_is_not_finite(tmp_path, toy_corpus, bad):
+    model = train(toy_corpus, "upos", epochs=1, seed=0)
+    feature, row = next((f, row) for f, row in model.weights.items() if row)
+    t = min(row)
+    row[t] = bad
+    path = tmp_path / "model.json"
+    with pytest.raises(MedlatinError) as info:
+        save_model(model, str(path))
+    assert str(info.value) == (f"{path}: cannot write the weight {bad!r} of feature "
+                               f"{feature!r}, tag index {t}: not a finite number")
+    assert os.listdir(tmp_path) == []
