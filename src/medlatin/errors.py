@@ -70,15 +70,17 @@ def read_model_file(path: str, model_format: str, schema: dict, build):
     build(payload) converts the checked payload; a KeyError, TypeError,
     ValueError or OverflowError it raises on a malformed value becomes a
     MedlatinError that names the path, as does invalid JSON (NaN and
-    Infinity included), a string holding a lone surrogate (a JSON escape
-    such as \\udcff, which UTF-8 cannot encode), a wrong format tag or a
-    missing or mistyped top-level key.
+    Infinity included), JSON nested too deeply to parse, a string holding
+    a lone surrogate (a JSON escape such as \\udcff, which UTF-8 cannot
+    encode), a wrong format tag or a missing or mistyped top-level key.
     """
     text = read_text(path)
     try:
         payload = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:
         raise MedlatinError(f"{path}: not a JSON file ({exc})") from exc
+    except RecursionError:
+        raise MedlatinError(f"{path}: not a JSON file (nested too deeply)") from None
     # Only a \u escape can give a string a lone surrogate, which the model
     # could never write back or emit as UTF-8; "\\" in text is the fast test.
     if "\\" in text and _SURROGATE_ESCAPE.search(text):

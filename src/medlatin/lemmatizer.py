@@ -30,6 +30,19 @@ yet in it.  The table takes at most ANSWER_TABLE_SIZE (16384) entries,
 about 3 MB when full, and after that answers only the queries it holds;
 it is never written to a model file and starts empty in every model.
 
+Steps 3 and 4 are one walk over the suffix counters, and each model ranks
+each counter once: the first query that visits a (suffix, UPOS) key or a
+pooled suffix key stores the counter's top script in the model's tops
+memo, and later queries read it from there.  The memo holds at most one
+entry per key, so it needs no bound; like the answer table it is never
+written and starts empty in every model, and loading ranks nothing.  It is
+keyed by suffix under one dict per UPOS (and one, under None, for the
+pooled counters) rather than by (suffix, UPOS) tuples: a string is not
+tracked by the garbage collector, while a tuple kept per entry brought
+the collector's passes into lemmatization.  A top script that does not
+fit the form sends the walk on to the next counter without raising
+ScriptIncompatible; only apply_edit_script raises.
+
 save_model writes each lexicon and scripts row, and each [item, count]
 pair in it, with one f-string; each distinct script's text is made once.
 
@@ -122,36 +135,44 @@ def derive_edit_script(form: str, lemma: str) -> EditScript:
 def apply_edit_script(script: EditScript, form: str) -> str:
     """Apply a script, or a plain tuple of its five fields, to a form;
     raises ScriptIncompatible when it cannot apply."""
+    text = _applied(script, form)
+    if text is None:
+        raise ScriptIncompatible(f"edit script {tuple(script)!r} does not apply to {form!r}")
+    return text
+
+
+def _applied(script: tuple, form: str) -> str | None:
+    """The form with the script applied, or None when the script does not fit it."""
     strip_prefix_len, prefix_add, strip_suffix_len, suffix_add, interior_edits = script
     if strip_prefix_len > len(form):
-        raise ScriptIncompatible(f"prefix strip {strip_prefix_len} exceeds length of {form!r}")
+        return None
     text = prefix_add + form[strip_prefix_len:]
     if strip_suffix_len > len(text):
-        raise ScriptIncompatible(f"suffix strip {strip_suffix_len} exceeds residue of {form!r}")
+        return None
     text = text[:len(text) - strip_suffix_len] + suffix_add
     for offset, old, new in interior_edits:
-        if offset < 0 or offset + len(old) > len(text):
-            raise ScriptIncompatible(
-                f"interior edit at {offset} falls outside residue {text!r}")
-        if text[offset:offset + len(old)] != old:
-            raise ScriptIncompatible(
-                f"interior edit expects {old!r} at {offset} in {text!r}")
-        text = text[:offset] + new + text[offset + len(old):]
+        end = offset + len(old)
+        if offset < 0 or end > len(text) or text[offset:end] != old:
+            return None
+        text = text[:offset] + new + text[end:]
     return text
 
 
 @dataclass(frozen=True)
 class LemmatizerModel:
     """Lexicon and suffix-script counts; the counts are immutable after
-    training, since pooled and answers are derived from them.
+    training, since pooled, answers and tops are derived from them.
 
     lexicon maps (form, upos) -> {lemma: count}; scripts maps
-    (suffix, upos) -> {script: count}.  Two fields are derived, never
+    (suffix, upos) -> {script: count}.  Three fields are derived, never
     written to a model file and ignored by equality and repr.  pooled is
     built from scripts with the model: suffix -> {script: count summed over
     every UPOS}, the counts cascade step 4 ranks.  answers starts empty and
     lemmatize fills it: (lowercased form, upos) -> the lemma it gave, for
-    at most ANSWER_TABLE_SIZE queries.
+    at most ANSWER_TABLE_SIZE queries.  tops starts empty and the cascade
+    fills it with the top script of each counter it visits, ranked the
+    first time: tops[upos][suffix] for scripts[(suffix, upos)] and
+    tops[None][suffix] for pooled[suffix].
     """
 
     lexicon: dict[tuple[str, str], dict[str, int]]
@@ -159,6 +180,8 @@ class LemmatizerModel:
     provenance: tuple = ()
     pooled: dict[str, dict[EditScript, int]] = field(init=False, repr=False, compare=False)
     answers: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
+    tops: dict[str | None, dict[str, EditScript]] = field(init=False, repr=False,
+                                                          compare=False)
 
     def __post_init__(self):
         # Most suffixes occur with one UPOS: they share that counter with
@@ -176,6 +199,7 @@ class LemmatizerModel:
                 bucket[script] = bucket.get(script, 0) + count
         object.__setattr__(self, "pooled", pooled)
         object.__setattr__(self, "answers", {})
+        object.__setattr__(self, "tops", {})
 
 
 def _merge_counts(target: dict, source: dict) -> None:
@@ -248,18 +272,29 @@ def lemmatize(model: LemmatizerModel, query: LemmaQuery) -> str:
 
 
 def _resolve(model: LemmatizerModel, form: str, upos: str) -> str:
-    """Cascade steps 2-5 for a lowercased form."""
+    """Cascade steps 2-5 for a lowercased form.  Steps 3 and 4 are one walk
+    over the (suffix, upos) keys and then the suffix keys, longest first;
+    each key's top script is ranked once per model."""
     entry = model.lexicon.get((form, upos))
     if entry:
         return _top(entry)
-    suffixes = [form[-n:] for n in range(min(MAX_SUFFIX_KEY, len(form)), 0, -1)]
-    by_upos = (model.scripts.get((suffix, upos)) for suffix in suffixes)
-    for counter in chain(by_upos, map(model.pooled.get, suffixes)):
-        if counter:
-            try:
-                return apply_edit_script(_top(counter), form)
-            except ScriptIncompatible:
+    by_upos = model.tops.setdefault(upos, {})
+    pooled = model.tops.setdefault(None, {})
+    length = min(MAX_SUFFIX_KEY, len(form))
+    start = len(form) - length
+    for step in range(2 * length):
+        suffix = form[start + step % length:]
+        memo = by_upos if step < length else pooled
+        top = memo.get(suffix)
+        if top is None:
+            counter = (model.scripts.get((suffix, upos)) if step < length
+                       else model.pooled.get(suffix))
+            if not counter:
                 continue
+            top = memo[suffix] = _top(counter)
+        lemma = _applied(top, form)
+        if lemma is not None:
+            return lemma
     return form
 
 

@@ -18,7 +18,8 @@ Registry config file format (INI, one section per dataset, order preserved):
 
 ``paths`` holds comma-separated globs resolved relative to the config file;
 it may be omitted for declaration-only entries.  ``tokens``/``sentences``/
-``avg`` are the optional declared statistics.
+``avg`` are the optional declared statistics.  Values are read literally
+(no interpolation), so a ``%`` in a path needs no escape.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def load_dataset(registry: Registry, name: str, drop_unsupported: bool = False) 
 def load_registry(path: str) -> Registry:
     """Read a registry config file (format documented in the module docstring)."""
     text = read_text(path)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=path)
         return _registry_from_parser(parser, os.path.dirname(os.path.abspath(path)), path)
@@ -262,7 +263,7 @@ def reference_registry() -> Registry:
     declared rows (LLCT, Proceedings) are internally inconsistent at the
     default tolerance, which the validator is expected to flag.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     text = resources.files("medlatin.data").joinpath("reference_registry.cfg").read_text("utf-8")
     parser.read_string(text)
     return _registry_from_parser(parser, os.getcwd(), "<bundled reference registry>")

@@ -659,6 +659,27 @@ def test_model_with_lone_surrogate_names_the_file(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [
+    ["tagger", "tag", "--model", "MODEL", "--in", TOY_CORPUS, "--out", "OUT"],
+    ["lemmatize", "run", "--model", "MODEL", "--in", "QUERIES", "--out", "OUT"],
+], ids=["tagger-tag", "lemmatize-run"])
+def test_model_nested_too_deeply_names_the_file(tmp_path, capsys, command):
+    # Deeper than any recursion limit: json.loads raises RecursionError.
+    model_format, key = {"tagger": (tagger.MODEL_FORMAT, "weights"),
+                         "lemmatize": (lemmatizer.MODEL_FORMAT, "scripts")}[command[0]]
+    model = tmp_path / "model.json"
+    depth = 100_000
+    model.write_text(f'{{"format": "{model_format}", "{key}": {"[" * depth}{"]" * depth}}}',
+                     encoding="utf-8")
+    queries = tmp_path / "queries.txt"
+    queries.write_text("terram:NOUN\n", encoding="utf-8")
+    paths = {"MODEL": str(model), "QUERIES": str(queries), "OUT": str(tmp_path / "out")}
+    assert run_cli([paths.get(arg, arg) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: MedlatinError: {model}: not a JSON file (nested too deeply)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
     ["normalize", "--in", TOY_CORPUS],
     ["tagger", "tag", "--model", "MODEL", "--in", TOY_CORPUS],
 ])

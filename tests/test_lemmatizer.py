@@ -588,23 +588,86 @@ def test_answer_table_gives_the_tableless_answers(model, sequence):
 
 
 def test_continued_model_starts_with_an_empty_answer_table(tmp_path):
+    """The answer table and the tops memo alike: each starts empty in a
+    fresh, continued or loaded model, is never shared with a base model or
+    written, and changes neither == nor repr."""
     base = fresh(MINI_MODELS[0])
-    sequence = [LemmaQuery(form, upos) for form in MINI_FORMS for upos in ("NOUN", "VERB")]
+    assert base.answers == {} and base.tops == {}
+    # Unseen forms that end like seen ones, so the cascade ranks counters.
+    sequence = [LemmaQuery(prefix + form, upos) for form in MINI_FORMS
+                for prefix in ("", "zq") for upos in ("NOUN", "VERB", "INTJ")]
     before = [lemmatize(base, query) for query in sequence]
-    table = dict(base.answers)
+    table, tops = dict(base.answers), _ranked(base)
     assert len(table) == len(sequence)
+    # Counters of both steps are ranked: step 3 under a UPOS, step 4 under None.
+    assert {upos is None for _suffix, upos in tops} == {False, True}
+    assert base == MINI_MODELS[0] and repr(base) == repr(fresh(base))
     genres = simple_doc([[("terram", "terrum", "NOUN"), ("adducam", "adducor", "VERB")]])
     continued = train_lemmatizer(genres, base=base)
-    assert continued.answers == {}
-    assert base.answers == table
+    assert continued.answers == {} and continued.tops == {}
+    assert base.answers == table and _ranked(base) == tops
     assert [lemmatize(base, query) for query in sequence] == before
     _assert_answers_like_reference(continued, sequence)
-    # The table is never written: a warm model saves as a cold one does.
+    assert _ranked(base) == tops
+    _assert_tops_like_reference(continued)
+    # Neither is ever written: a warm model saves as a cold one does.
     warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
     save_model(base, str(warm))
     save_model(fresh(base), str(cold))
     assert warm.read_bytes() == cold.read_bytes()
-    assert load_model(str(warm)).answers == {}
+    loaded = load_model(str(warm))
+    assert loaded.answers == {} and loaded.tops == {}
+
+
+# The cascade that ranks each counter once per model and skips a script
+# that does not apply without raising, against old_lemmatize,
+# old_apply_edit_script and old_top_script above, which share no code with it.
+
+def _ranked(model):
+    """model.tops flattened: (suffix, upos) or (suffix, None) -> top script."""
+    return {(suffix, upos): top for upos, memo in model.tops.items()
+            for suffix, top in memo.items()}
+
+
+def _assert_tops_like_reference(model):
+    for (suffix, upos), top in _ranked(model).items():
+        counter = model.pooled[suffix] if upos is None else model.scripts[(suffix, upos)]
+        assert top == old_top_script(counter)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MINI_MODELS + LOADED_MINI_MODELS), query_sequences())
+def test_ranked_once_cascade_matches_old_cascade(model, sequence):
+    model = fresh(model)
+    for query in sequence:
+        assert lemmatize(model, query) == old_lemmatize(model, query)
+    _assert_tops_like_reference(model)
+    # Again with every counter the queries visit already ranked.
+    model.answers.clear()
+    for query in sequence:
+        assert lemmatize(model, query) == old_lemmatize(model, query)
+    _assert_tops_like_reference(model)
+
+
+def _outcome(apply, script, form):
+    try:
+        return apply(script, form)
+    except ScriptIncompatible:
+        return ScriptIncompatible
+
+
+SCRIPT_TEXTS = st.text("abu", max_size=3)
+INTERIOR_EDITS = st.lists(st.tuples(st.integers(-1, 6), SCRIPT_TEXTS, SCRIPT_TEXTS),
+                          max_size=2).map(tuple)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.builds(EditScript, st.integers(0, 5), SCRIPT_TEXTS, st.integers(0, 5), SCRIPT_TEXTS,
+                 INTERIOR_EDITS),
+       st.text("abu", max_size=6))
+def test_apply_edit_script_matches_old_apply(script, form):
+    assert (_outcome(apply_edit_script, script, form)
+            == _outcome(old_apply_edit_script, script, form))
 
 
 @settings(max_examples=100, deadline=None)

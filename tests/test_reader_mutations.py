@@ -4,7 +4,8 @@ a MedlatinError class.
 
 Each reader gets a tiny valid file that is then truncated, has one byte
 flipped or, for the JSON model files, has one value (or object key)
-swapped for a wrong-typed value or spliced with a lone-surrogate escape.
+swapped for a wrong-typed value or spliced with a lone-surrogate escape,
+or one value swapped for arrays nested deeper than any recursion limit.
 """
 
 import io
@@ -64,6 +65,8 @@ READERS = {
     "queries": ([["lemmatize", "run", "--model", "LEMMA", "--in", "MUT", "--out", "OUT"]],
                 False),
 }
+
+NEST_MARK = "nest-here"
 
 WRONG_VALUES = (None, True, 0, -1, 2 ** 70, 10 ** 400, 1.5, "", "x", "\udcff",
                 [], [0], [[]], {}, {"x": 0})
@@ -131,7 +134,8 @@ def _json_slots(node, slots):
 
 
 def mutate(data: bytes, is_json: bool, draw) -> bytes:
-    kind = draw(st.sampled_from(["truncate", "flip", "json"] if is_json else ["truncate", "flip"]))
+    kinds = ["truncate", "flip", "json", "nest"] if is_json else ["truncate", "flip"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if kind == "flip":
@@ -139,6 +143,12 @@ def mutate(data: bytes, is_json: bool, draw) -> bytes:
         return data[:index] + bytes([data[index] ^ draw(st.integers(1, 255))]) + data[index + 1:]
     payload = json.loads(data)
     container, key = draw(st.sampled_from(_json_slots(payload, [])))
+    if kind == "nest":
+        # json.dumps cannot write arrays this deep, so they replace a mark.
+        container[key] = NEST_MARK
+        depth = draw(st.sampled_from((1_000, 100_000)))
+        return json.dumps(payload).replace(json.dumps(NEST_MARK), "[" * depth + "]" * depth,
+                                           1).encode()
     if isinstance(container, dict) and draw(st.booleans()):
         container[key + "\udcff"] = container.pop(key)
     else:
