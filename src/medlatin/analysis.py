@@ -4,8 +4,16 @@ Gold and predicted lemmas are aligned at minimum edit distance (the
 Wagner-Fischer table).  The traceback reads each maximal run of edits
 straight off as one confusion pattern ("u:v", "a:us", "h:"), by the gold
 and predicted indices where the run starts and ends, which is what makes
-multi-character patterns possible at all.  Positions are anchored on the
-gold string:
+multi-character patterns possible at all.
+
+Only the middle where the two strings differ gets table cells.  The
+traceback matches the common suffix before anything else, so the suffix
+needs none.  Within a common prefix of length k one string is a prefix of
+the other, so every cell (i, j) with i <= k or j <= k holds |i - j|; the
+traceback reads those cells from that closed form and stops once it stands
+on the diagonal inside the prefix, where only matches remain.
+
+Positions are anchored on the gold string:
 
     initial  the run touches gold index 0 (or inserts before it);
              a whole-word run counts as initial
@@ -53,38 +61,56 @@ def extract_patterns(gold: str, pred: str) -> list[tuple[str, str, str]]:
     if gi is 0, else final if ge is len(gold), else middle.
     """
     m, n = len(gold), len(pred)
-    dp = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        dp[i][0] = i
-    for j in range(1, n + 1):
-        dp[0][j] = j
-    for i in range(1, m + 1):
-        row, prev_row = dp[i], dp[i - 1]
-        g_char = gold[i - 1]
-        for j in range(1, n + 1):
-            if g_char == pred[j - 1]:
-                row[j] = prev_row[j - 1]
+    # The traceback matches the common suffix first, so it needs no cells.
+    g_end, p_end = m, n
+    while g_end and p_end and gold[g_end - 1] == pred[p_end - 1]:
+        g_end, p_end = g_end - 1, p_end - 1
+    # Within the common prefix gold[:k] one string is a prefix of the
+    # other, so a cell (i, j) with i <= k or j <= k holds |i - j|.
+    k = 0
+    while k < g_end and k < p_end and gold[k] == pred[k]:
+        k += 1
+    # dp[i - k][j - k] is the cell (i, j) for k <= i <= g_end, k <= j <= p_end.
+    pred_middle = pred[k:p_end]
+    dp = [list(range(len(pred_middle) + 1))]
+    for i, g_char in enumerate(gold[k:g_end], start=1):
+        prev_row, row = dp[-1], [i]
+        for j, p_char in enumerate(pred_middle, start=1):
+            if g_char == p_char:
+                row.append(prev_row[j - 1])
             else:
-                row[j] = 1 + min(prev_row[j - 1], prev_row[j], row[j - 1])
+                row.append(1 + min(prev_row[j - 1], prev_row[j], row[j - 1]))
+        dp.append(row)
     patterns: list[tuple[str, str, str]] = []
-    i, j = m, n
+    i, j = g_end, p_end
     run_end = None  # (ge, pe) of the run of edits the traceback is inside
     while True:
         # equal characters always fill the cell from its diagonal, so a
         # match needs no check of the table
         matched = i > 0 and j > 0 and gold[i - 1] == pred[j - 1]
-        if run_end is not None and (matched or i == j == 0):
+        # on the diagonal inside the prefix only matches remain
+        done = i == j <= k
+        if run_end is not None and (matched or done):
             ge, pe = run_end
             position = "initial" if i == 0 else "final" if ge == m else "middle"
             patterns.append((gold[i:ge], pred[j:pe], position))
             run_end = None
-        if i == j == 0:
+        if done:
             break
         if not matched and run_end is None:
             run_end = (i, j)
-        if matched or (i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1):
+        if matched:
             i, j = i - 1, j - 1
-        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+        elif i <= k or j <= k:
+            # |i - j| holds on a diagonal, so no substitution applies: a
+            # deletion lowers it by one when i > j, an insertion when i < j
+            if i > j:
+                i -= 1
+            else:
+                j -= 1
+        elif dp[i - k][j - k] == dp[i - k - 1][j - k - 1] + 1:
+            i, j = i - 1, j - 1
+        elif dp[i - k][j - k] == dp[i - k - 1][j - k] + 1:
             i -= 1
         else:
             j -= 1

@@ -54,6 +54,8 @@ def load_config(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise MedlatinError(f"{path}: line {line_no}: unknown config key {key!r}")
+        if "\0" in value:  # no path can hold one, and open() raises ValueError
+            raise MedlatinError(f"{path}: line {line_no}: config key {key!r} holds a NUL byte")
         config[key] = value
     return config
 

@@ -27,6 +27,10 @@ Token shared by its repeats.  Threads may parse at once: a race can only
 parse a text twice, or lose an update to the token count and so pass the
 bound by one document per thread.
 
+Token, Sentence and Document are frozen dataclasses with __slots__: each
+instance is one object holding its field values, with no separate
+per-instance __dict__.
+
 relabel is the one way a document's labels are rewritten: prediction and
 lemma normalization both copy a document through it, one label per token
 written through the task's row of TASKS.  Every label is parsed and
@@ -91,7 +95,7 @@ class InvalidUpos(MedlatinError):
         super().__init__(f"line {line_no}: invalid UPOS tag {upos!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One token line.
 
@@ -112,13 +116,13 @@ class Token:
         return _feats_text(self.ufeats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     tokens: tuple[Token, ...]
     comments: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     sentences: tuple[Sentence, ...]
     source_name: str = field(default="<unnamed>", compare=False)

@@ -2,6 +2,7 @@ import random
 from dataclasses import dataclass
 from itertools import groupby
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,6 +241,71 @@ def test_extract_patterns_matches_groupby_reference(gold, pred, equal):
         assert extract_patterns(gold, pred) == []
     else:
         assert extract_patterns(gold, pred) == reference_extract_patterns(gold, pred)
+
+
+# extract_patterns as it was before it left out the common prefix and
+# suffix: the whole Wagner-Fischer table and a traceback over all of it.
+def full_table_extract_patterns(gold: str, pred: str) -> list[tuple[str, str, str]]:
+    """Each maximal run of edits in a minimum-edit-distance alignment, as a
+    (gold_sub, pred_sub, position) triple; equal strings give none.
+
+    A run spans gold[gi:ge] (gi == ge for a pure insertion): it is initial
+    if gi is 0, else final if ge is len(gold), else middle.
+    """
+    m, n = len(gold), len(pred)
+    dp = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        dp[i][0] = i
+    for j in range(1, n + 1):
+        dp[0][j] = j
+    for i in range(1, m + 1):
+        row, prev_row = dp[i], dp[i - 1]
+        g_char = gold[i - 1]
+        for j in range(1, n + 1):
+            if g_char == pred[j - 1]:
+                row[j] = prev_row[j - 1]
+            else:
+                row[j] = 1 + min(prev_row[j - 1], prev_row[j], row[j - 1])
+    patterns: list[tuple[str, str, str]] = []
+    i, j = m, n
+    run_end = None  # (ge, pe) of the run of edits the traceback is inside
+    while True:
+        # equal characters always fill the cell from its diagonal, so a
+        # match needs no check of the table
+        matched = i > 0 and j > 0 and gold[i - 1] == pred[j - 1]
+        if run_end is not None and (matched or i == j == 0):
+            ge, pe = run_end
+            position = "initial" if i == 0 else "final" if ge == m else "middle"
+            patterns.append((gold[i:ge], pred[j:pe], position))
+            run_end = None
+        if i == j == 0:
+            break
+        if not matched and run_end is None:
+            run_end = (i, j)
+        if matched or (i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + 1):
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            i -= 1
+        else:
+            j -= 1
+    patterns.reverse()
+    return patterns
+
+
+@pytest.mark.parametrize("gold, pred", [
+    ("ab", "abb"), ("abb", "ab"), ("aaaa", "aa"), ("aa", "aaaa"), ("", "ab"), ("ab", ""),
+    ("", ""), ("abc", "abc"), ("abab", "ab"), ("ba", "bab"), ("uideo", "video"),
+])
+def test_extract_patterns_at_the_prefix_boundary_matches_full_table(gold, pred):
+    assert extract_patterns(gold, pred) == full_table_extract_patterns(gold, pred)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(["ab", "abc"]).flatmap(
+    lambda alphabet: st.tuples(st.text(alphabet, max_size=9), st.text(alphabet, max_size=9))))
+def test_extract_patterns_matches_full_table(pair):
+    gold, pred = pair
+    assert extract_patterns(gold, pred) == full_table_extract_patterns(gold, pred)
 
 
 _WORD = st.text("abuvAUV:", max_size=6)

@@ -783,6 +783,26 @@ def test_verbosity_config_key_is_unknown(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key, argv", [
+    ("registry", ["scenario", "plan", "--scenario", "ud_all"]),
+    ("ruleset", ["normalize", "--in", "GOLD"]),
+    ("output_dir", ["scenario", "run", "--scenario", "ud_all", "--tasks", "lemma",
+                    "--registry", MINI_REGISTRY]),
+])
+def test_config_path_with_nul_byte_names_file_and_line(tmp_path, capsys, key, argv):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(GOLD, encoding="utf-8")
+    cfg = tmp_path / "medlatin.cfg"
+    cfg.write_text(f"seed = 3\n{key} = {tmp_path / 'a'}\0b\n", encoding="utf-8")
+    assert run_cli(["--config", str(cfg)] + [str(gold) if a == "GOLD" else a
+                                             for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: MedlatinError: {cfg}: line 2: "
+                            f"config key {key!r} holds a NUL byte\n")
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["gold.conllu", "medlatin.cfg"]
+
+
 NON_NEGATIVE_INT_ARGVS = [
     ["tagger", "train", "--task", "upos", "--in", "missing.conllu", "--out", "out",
      "--epochs"],

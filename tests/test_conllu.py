@@ -1,8 +1,10 @@
+import copy
 import glob
 import os
 import pathlib
+import pickle
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +38,36 @@ def test_parse_empty_string():
     d = parse_conllu("")
     assert d.sentences == ()
     assert serialize(d) == ""
+
+
+def test_data_model_is_slotted_with_the_same_value_semantics():
+    t = Token(1, "uideo", "uideo", "VERB", (("Mood", "Ind"),), "SpaceAfter=No",
+              ("v", "0", "root", "_"))
+    s = Sentence((t,), ("# sent_id = s1",))
+    d = Document((s,), "annals.conllu")
+    for obj in (t, s, d):
+        assert not hasattr(obj, "__dict__")
+        for same in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert (same, hash(same), repr(same)) == (obj, hash(obj), repr(obj))
+    token_repr = ("Token(id=1, form='uideo', lemma='uideo', upos='VERB', "
+                  "ufeats=(('Mood', 'Ind'),), misc='SpaceAfter=No', "
+                  "extra_cols=('v', '0', 'root', '_'))")
+    assert repr(t) == token_repr
+    assert repr(s) == f"Sentence(tokens=({token_repr},), comments=('# sent_id = s1',))"
+    assert repr(d) == f"Document(sentences=({s!r},), source_name='annals.conllu')"
+    assert hash(t) == hash((1, "uideo", "uideo", "VERB", (("Mood", "Ind"),), "SpaceAfter=No",
+                            ("v", "0", "root", "_")))
+    assert hash(s) == hash(((t,), ("# sent_id = s1",)))
+    # source_name takes no part in equality or hashing
+    renamed = replace(d, source_name="other")
+    assert (renamed, hash(renamed)) == (d, hash(d)) and renamed.source_name == "other"
+    assert hash(d) == hash(((s,),))
+    assert Token(1, "uideo") == Token(1, "uideo", "_", "_", (), "_", ("_",) * 4)
+    relemmatized = replace(t, lemma="video")
+    assert relemmatized != t and (t.lemma, relemmatized.lemma) == ("uideo", "video")
+    assert replace(relemmatized, lemma="uideo") == t
+    with pytest.raises(FrozenInstanceError):
+        t.lemma = "video"
 
 
 def test_leading_byte_order_mark_is_dropped():

@@ -3,9 +3,12 @@
 a MedlatinError class.
 
 Each reader gets a tiny valid file that is then truncated, has one byte
-flipped or, for the JSON model files, has one value (or object key)
-swapped for a wrong-typed value or spliced with a lone-surrogate escape,
-or one value swapped for arrays nested deeper than any recursion limit.
+flipped, gets a NUL byte inserted or has its line ends turned into CRs.
+A JSON model file may instead have one value (or object key) swapped for a
+wrong-typed value or spliced with a lone-surrogate escape, or one value
+swapped for arrays nested deeper than any recursion limit; a CoNLL-U file
+may get a token line with a column added or dropped (11 or 9 fields); a
+registry may get one of its sections repeated.
 """
 
 import io
@@ -45,25 +48,22 @@ RULESET = "u_for_v\tv\tu\tanywhere\t\nti_for_ci\tci\tti\tmiddle\tfacio,socius\n"
 CONFIG = "seed = 3\nscenario = ud_all\ntasks = upos,lemma\n"
 QUERIES = "terram:NOUN\nVidet:VERB\n.:PUNCT\n"
 
-# Per reader: the argv lists that read the mutated file MUT, and whether it
-# is a JSON model file.
+# Per reader: the argv lists that read the mutated file MUT.
 READERS = {
-    "conllu": ([["eval", "--gold", "GOLD", "--pred", "MUT"], ["corpus", "check", "--in", "MUT"]],
-               False),
-    "tagger-model": ([["tagger", "tag", "--model", "MUT", "--in", "GOLD", "--out", "OUT"],
-                      ["tagger", "train", "--task", "upos", "--epochs", "1", "--base", "MUT",
-                       "--in", "GOLD", "--out", "OUT"]], True),
-    "lemmatizer-model": ([["lemmatize", "run", "--model", "MUT", "--in", "QUERIES",
-                           "--out", "OUT"],
-                          ["lemmatize", "train", "--base", "MUT", "--in", "GOLD",
-                           "--out", "OUT"]], True),
-    "results": ([["scenario", "compare", "--results", "MUT"]], False),
-    "registry": ([["corpus", "stats", "--registry", "MUT"],
-                  ["corpus", "validate", "--registry", "MUT"]], False),
-    "ruleset": ([["normalize", "--ruleset", "MUT", "--in", "GOLD", "--out", "OUT"]], False),
-    "config": ([["--config", "MUT", "scenario", "plan", "--registry", "REGISTRY"]], False),
-    "queries": ([["lemmatize", "run", "--model", "LEMMA", "--in", "MUT", "--out", "OUT"]],
-                False),
+    "conllu": [["eval", "--gold", "GOLD", "--pred", "MUT"], ["corpus", "check", "--in", "MUT"]],
+    "tagger-model": [["tagger", "tag", "--model", "MUT", "--in", "GOLD", "--out", "OUT"],
+                     ["tagger", "train", "--task", "upos", "--epochs", "1", "--base", "MUT",
+                      "--in", "GOLD", "--out", "OUT"]],
+    "lemmatizer-model": [["lemmatize", "run", "--model", "MUT", "--in", "QUERIES",
+                          "--out", "OUT"],
+                         ["lemmatize", "train", "--base", "MUT", "--in", "GOLD",
+                          "--out", "OUT"]],
+    "results": [["scenario", "compare", "--results", "MUT"]],
+    "registry": [["corpus", "stats", "--registry", "MUT"],
+                 ["corpus", "validate", "--registry", "MUT"]],
+    "ruleset": [["normalize", "--ruleset", "MUT", "--in", "GOLD", "--out", "OUT"]],
+    "config": [["--config", "MUT", "scenario", "plan", "--registry", "REGISTRY"]],
+    "queries": [["lemmatize", "run", "--model", "LEMMA", "--in", "MUT", "--out", "OUT"]],
 }
 
 NEST_MARK = "nest-here"
@@ -112,7 +112,7 @@ def files(tmp_path_factory):
     mutated = {reader: (registry_dir / "mutated.cfg" if reader == "registry"
                         else root / f"mutated-{reader}") for reader in READERS}
     for reader in READERS:
-        for argv in READERS[reader][0]:  # every command passes on the valid file
+        for argv in READERS[reader]:  # every command passes on the valid file
             mutated[reader].write_bytes(originals[reader])
             code, err = run(_argv(argv, paths, mutated[reader]))
             assert code == 0, (reader, err)
@@ -133,14 +133,38 @@ def _json_slots(node, slots):
     return slots
 
 
-def mutate(data: bytes, is_json: bool, draw) -> bytes:
-    kinds = ["truncate", "flip", "json", "nest"] if is_json else ["truncate", "flip"]
-    kind = draw(st.sampled_from(kinds))
+# Mutations beyond truncate, flip, nul and cr, per reader.
+STRUCTURAL = {"tagger-model": ["json", "nest"], "lemmatizer-model": ["json", "nest"],
+              "conllu": ["columns"], "registry": ["section"]}
+
+
+def mutate(data: bytes, reader: str, draw) -> bytes:
+    kind = draw(st.sampled_from(["truncate", "flip", "nul", "cr"] + STRUCTURAL.get(reader, [])))
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if kind == "flip":
         index = draw(st.integers(0, len(data) - 1))
         return data[:index] + bytes([data[index] ^ draw(st.integers(1, 255))]) + data[index + 1:]
+    if kind == "nul":
+        index = draw(st.integers(0, len(data)))
+        return data[:index] + b"\0" + data[index:]
+    if kind == "cr":
+        return data.replace(b"\n", b"\r")
+    if kind == "columns":
+        lines = data.split(b"\n")
+        index = draw(st.sampled_from([i for i, line in enumerate(lines) if b"\t" in line]))
+        fields = lines[index].split(b"\t")
+        if draw(st.booleans()):
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        else:
+            fields.insert(draw(st.integers(0, len(fields))), b"_")
+        lines[index] = b"\t".join(fields)
+        return b"\n".join(lines)
+    if kind == "section":
+        sections = re.split(rb"(?m)^(?=\[)", data)
+        index = draw(st.integers(1, len(sections) - 1))
+        sections.insert(draw(st.integers(1, len(sections))), sections[index])
+        return b"".join(sections)
     payload = json.loads(data)
     container, key = draw(st.sampled_from(_json_slots(payload, [])))
     if kind == "nest":
@@ -163,12 +187,25 @@ def mutate(data: bytes, is_json: bool, draw) -> bytes:
 @given(data=st.data())
 def test_mutated_input_ends_in_a_named_error(files, reader, data):
     paths, originals, mutated = files
-    templates, is_json = READERS[reader]
-    mutated[reader].write_bytes(mutate(originals[reader], is_json, data.draw))
-    for template in templates:
-        code, err = run(_argv(template, paths, mutated[reader]))
-        assert code in (0, 1, 2), err
-        if code == 1:
-            assert str(mutated[reader]) in err, err
-            named = re.match(r"error: (\w+): ", err)
-            assert named and named[1] in error_classes(), err
+    mutated[reader].write_bytes(mutate(originals[reader], reader, data.draw))
+    for template in READERS[reader]:
+        check_exit(_argv(template, paths, mutated[reader]), mutated[reader])
+
+
+def check_exit(argv, path):
+    code, err = run(argv)
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert str(path) in err, err
+        named = re.match(r"error: (\w+): ", err)
+        assert named and named[1] in error_classes(), err
+
+
+def test_nul_byte_anywhere_in_a_config_naming_the_registry(files):
+    """The config above leaves the registry to a flag; here the config names
+    it, so the NUL byte can land in a path the command opens."""
+    paths, originals, mutated = files
+    data = originals["config"] + f"registry = {paths['REGISTRY']}\n".encode()
+    for index in range(len(data) + 1):
+        mutated["config"].write_bytes(data[:index] + b"\0" + data[index:])
+        check_exit(["--config", str(mutated["config"]), "scenario", "plan"], mutated["config"])
